@@ -188,9 +188,9 @@ pub fn run(workload: &Workload, params: &ServeParams) -> (Table, Table) {
         // (the cache is also warmed-and-checked by this, so time below
         // reflects steady-state serving).
         let probe = &stream[0];
-        let a = cold.run(probe).unwrap();
-        let b = warm.run(probe).unwrap();
-        let c = coalesced.run(probe).unwrap();
+        let (a, _) = cold.run(probe).unwrap();
+        let (b, _) = warm.run(probe).unwrap();
+        let (c, _) = coalesced.run(probe).unwrap();
         assert_eq!(a.scores, b.scores, "cache must be bitwise-transparent");
         assert_eq!(
             a.scores, c.scores,
@@ -205,9 +205,11 @@ pub fn run(workload: &Workload, params: &ServeParams) -> (Table, Table) {
             c.subgraph.nodes().collect::<Vec<_>>()
         );
 
-        let cold_out = cold.serve_stream(&stream, params.workers).unwrap();
-        let warm_out = warm.serve_stream(&stream, params.workers).unwrap();
-        let co_out = coalesced.serve_stream(&stream, params.workers).unwrap();
+        let cold_out = cold.serve_stream(&stream, params.workers, None).unwrap();
+        let warm_out = warm.serve_stream(&stream, params.workers, None).unwrap();
+        let co_out = coalesced
+            .serve_stream(&stream, params.workers, None)
+            .unwrap();
         assert_eq!(cold_out.completed, stream.len());
         assert_eq!(warm_out.completed, stream.len());
         assert_eq!(co_out.completed, stream.len());

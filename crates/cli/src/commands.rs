@@ -658,7 +658,7 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
         })
         .transpose()?;
 
-    let served = service.serve_stream_traced(&stream, opts.workers, tracer.as_ref());
+    let served = service.serve_stream(&stream, opts.workers, tracer.as_ref());
     // Stop the exporter before reporting (even on error): the drop performs
     // one final flush, so the .prom file matches the final registry state.
     drop(exporter);
@@ -1333,22 +1333,27 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("ceps_cli_tests");
+    /// A scratch directory of the test's own (`tag` names it), so tests
+    /// running in parallel never rewrite a file another one is reading.
+    fn test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join("ceps_cli_tests")
+            .join(format!("{tag}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        dir
     }
 
     /// Serializes tests that install/uninstall the global `ceps-obs`
-    /// recorder (they would otherwise reset each other's counters).
+    /// recorder or serve requests (every served request feeds the
+    /// `serve.*` counters), so no test resets or inflates another's.
     fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn generated() -> (PathBuf, PathBuf) {
-        let g = tmp("g.txt");
-        let l = tmp("l.txt");
+    fn generated(dir: &Path) -> (PathBuf, PathBuf) {
+        let g = dir.join("g.txt");
+        let l = dir.join("l.txt");
         let msg = execute(Command::Generate {
             scale: "tiny".into(),
             seed: 3,
@@ -1362,7 +1367,8 @@ mod tests {
 
     #[test]
     fn generate_then_stats() {
-        let (g, _) = generated();
+        let dir = test_dir("stats");
+        let (g, _) = generated(&dir);
         let out = execute(Command::Stats { graph: g }).unwrap();
         assert!(out.contains("nodes: 100"));
         assert!(out.contains("components:"));
@@ -1370,7 +1376,8 @@ mod tests {
 
     #[test]
     fn query_by_name_and_by_id() {
-        let (g, l) = generated();
+        let dir = test_dir("query");
+        let (g, l) = generated(&dir);
         let labels = load_labels(&l).unwrap();
         let name0 = labels.name(NodeId(0));
         let name1 = labels.name(NodeId(30));
@@ -1414,8 +1421,9 @@ mod tests {
 
     #[test]
     fn query_json_and_dot_outputs() {
-        let (g, l) = generated();
-        let dot_path = tmp("out.dot");
+        let dir = test_dir("json");
+        let (g, l) = generated(&dir);
+        let dot_path = dir.join("out.dot");
         let out = execute(Command::Query {
             graph: g,
             labels: Some(l),
@@ -1442,8 +1450,9 @@ mod tests {
     #[test]
     fn query_profile_prints_tree_and_writes_snapshot() {
         let _guard = recorder_lock();
-        let (g, l) = generated();
-        let profile_path = tmp("obs_profile.json");
+        let dir = test_dir("profile");
+        let (g, l) = generated(&dir);
+        let profile_path = dir.join("obs_profile.json");
         let out = execute(Command::Query {
             graph: g,
             labels: Some(l),
@@ -1474,8 +1483,9 @@ mod tests {
 
     #[test]
     fn partition_writes_assignments() {
-        let (g, _) = generated();
-        let out_path = tmp("parts.txt");
+        let dir = test_dir("partition");
+        let (g, _) = generated(&dir);
+        let out_path = dir.join("parts.txt");
         let msg = execute(Command::Partition {
             graph: g,
             parts: 4,
@@ -1490,7 +1500,8 @@ mod tests {
 
     #[test]
     fn unknown_author_is_a_clean_error() {
-        let (g, l) = generated();
+        let dir = test_dir("unknown");
+        let (g, l) = generated(&dir);
         let err = execute(Command::Query {
             graph: g,
             labels: Some(l),
@@ -1512,7 +1523,8 @@ mod tests {
 
     #[test]
     fn autok_reports_k_and_ranks() {
-        let (g, l) = generated();
+        let dir = test_dir("autok");
+        let (g, l) = generated(&dir);
         let out = execute(Command::AutoK {
             graph: g,
             labels: Some(l),
@@ -1528,14 +1540,15 @@ mod tests {
 
     #[test]
     fn import_round_trips_through_query() {
-        let pairs = tmp("pairs.tsv");
+        let dir = test_dir("import");
+        let pairs = dir.join("pairs.tsv");
         fs::write(
             &pairs,
             "Ada Lovelace\tCharles Babbage\t3\nAda Lovelace\tLuigi Menabrea\n",
         )
         .unwrap();
-        let g = tmp("imported.txt");
-        let l = tmp("imported_labels.txt");
+        let g = dir.join("imported.txt");
+        let l = dir.join("imported_labels.txt");
         let msg = execute(Command::Import {
             pairs,
             out: g.clone(),
@@ -1564,7 +1577,9 @@ mod tests {
 
     #[test]
     fn serve_reports_throughput_and_cache() {
-        let (g, _) = generated();
+        let _guard = recorder_lock();
+        let dir = test_dir("serve");
+        let (g, _) = generated(&dir);
         let out = execute(Command::Serve {
             graph: g.clone(),
             requests: 10,
@@ -1629,8 +1644,10 @@ mod tests {
 
     #[test]
     fn serve_listen_and_client_round_trip_over_unix_socket() {
-        let (g, _) = generated();
-        let sock = tmp(&format!("cli-net-{}.sock", std::process::id()));
+        let _guard = recorder_lock();
+        let dir = test_dir("listen");
+        let (g, _) = generated(&dir);
+        let sock = dir.join("cli.sock");
         let _ = fs::remove_file(&sock);
         let addr = sock.display().to_string();
 
@@ -1722,8 +1739,10 @@ mod tests {
 
     #[test]
     fn loadgen_drives_a_unix_socket_server_and_checks_the_slo() {
-        let (g, _) = generated();
-        let sock = tmp(&format!("cli-load-{}.sock", std::process::id()));
+        let _guard = recorder_lock();
+        let dir = test_dir("loadgen");
+        let (g, _) = generated(&dir);
+        let sock = dir.join("cli.sock");
         let _ = fs::remove_file(&sock);
         let addr = sock.display().to_string();
 
@@ -1766,7 +1785,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
 
-        let out_path = tmp("loadgen-report.json");
+        let out_path = dir.join("loadgen-report.json");
         let out = execute(Command::Loadgen {
             connect: addr.clone(),
             rps: 40.0,
@@ -1814,12 +1833,13 @@ mod tests {
 
     #[test]
     fn traced_wire_round_trip_shares_trace_ids_and_dumps_the_flight_ring() {
-        let (g, _) = generated();
-        let pid = std::process::id();
-        let sock = tmp(&format!("cli-traced-{pid}.sock"));
-        let server_traces = tmp(&format!("server-traces-{pid}.jsonl"));
-        let client_traces = tmp(&format!("client-traces-{pid}.jsonl"));
-        let flight = tmp(&format!("flight-{pid}.jsonl"));
+        let _guard = recorder_lock();
+        let dir = test_dir("traced");
+        let (g, _) = generated(&dir);
+        let sock = dir.join("cli.sock");
+        let server_traces = dir.join("server-traces.jsonl");
+        let client_traces = dir.join("client-traces.jsonl");
+        let flight = dir.join("flight.jsonl");
         for p in [&sock, &server_traces, &client_traces, &flight] {
             let _ = fs::remove_file(p);
         }
@@ -1936,10 +1956,11 @@ mod tests {
     #[test]
     fn serve_writes_metrics_and_traces() {
         let _guard = recorder_lock();
-        let (g, _) = generated();
-        let prom = tmp("serve_metrics.prom");
-        let events = tmp("serve_metrics.jsonl");
-        let traces = tmp("serve_traces.jsonl");
+        let dir = test_dir("metrics");
+        let (g, _) = generated(&dir);
+        let prom = dir.join("serve_metrics.prom");
+        let events = dir.join("serve_metrics.jsonl");
+        let traces = dir.join("serve_traces.jsonl");
         let _ = fs::remove_file(&events);
         let out = execute(Command::Serve {
             graph: g,

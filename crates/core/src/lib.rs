@@ -74,8 +74,8 @@ pub use fast::{FastCeps, FastCepsResult};
 pub use pipeline::{CepsEngine, CepsResult, StageTimes};
 pub use query::QueryType;
 pub use serve::{
-    CepsService, CepsServiceBuilder, ReplyMember, ReplyPath, RequestMetrics, ServeHealth,
-    ServeOutcome, ServeReply, ServeRequest,
+    CepsService, CepsServiceBuilder, ReplyMember, ReplyPath, RequestMetrics, RequestOrigin,
+    ServeHealth, ServeOutcome, ServeReply, ServeRequest,
 };
 pub use telemetry::{RequestTrace, RequestTracer, SampleKind};
 

@@ -71,8 +71,8 @@ pub struct CepsResult {
 
 /// Wall-clock breakdown of one pipeline run across the Table 1 stages.
 ///
-/// Produced by [`CepsEngine::run_timed`] and
-/// [`crate::serve::CepsService::run_timed`]; always measured (the numbers
+/// Produced by [`CepsEngine::run_timed`] and [`crate::serve::CepsService::run`]
+/// (inside its [`crate::serve::RequestMetrics`]); always measured (the numbers
 /// do not require an installed `ceps-obs` recorder) so serving harnesses
 /// can report stage-level latency without turning profiling on.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

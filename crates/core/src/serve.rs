@@ -8,13 +8,23 @@
 //! the co-queries. [`CepsService`] exploits that: it wraps an owned
 //! [`CepsEngine`] plus a shared [`RwrRowCache`], assembles Step 1's score
 //! matrix from cache hits plus **one batched backend solve over only the
-//! missing rows**, and hands the matrix to
-//! [`CepsEngine::run_with_scores`] for Steps 2–3.
+//! missing rows** ([`ceps_rwr::scores_with_cache`]), and hands the matrix
+//! to [`CepsEngine::run_with_scores`] for Steps 2–3.
 //!
-//! Cloning a service is three `Arc` bumps, so one service fans out across
-//! `crossbeam::thread::scope` workers; [`CepsService::serve_stream`] is
-//! that harness, returning throughput, latency percentiles and cache
-//! statistics in a [`ServeOutcome`].
+//! There is one code path per job:
+//!
+//! * [`CepsService::run`] — the whole pipeline for one query set, returning
+//!   the result with this request's [`RequestMetrics`] (stage times and
+//!   cache hits/misses). [`CepsService::individual_scores`] and
+//!   [`CepsService::warm`] share its Step 1.
+//! * [`CepsService::handle`] — one served request: times `run`, feeds the
+//!   `serve.*` metrics and writes the request's single `ceps-trace/v1`
+//!   line. Stream replay and the `ceps-net` wire server both call it, so
+//!   their trace lines cannot drift apart.
+//! * [`CepsService::serve_stream`] — replays a stream over
+//!   `crossbeam::thread::scope` workers (cloning a service is three `Arc`
+//!   bumps), returning throughput, latency percentiles and cache
+//!   statistics in a [`ServeOutcome`].
 //!
 //! ## Cache keying and invalidation
 //!
@@ -32,8 +42,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ceps_graph::{IntoSharedGraph, NodeId, Precision};
+use ceps_obs::TraceContext;
 use ceps_rwr::{
-    row_cost_bytes, scores_with_cache_coalesced, CacheStats, CoalesceConfig, CoalesceStats,
+    row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceConfig, CoalesceStats,
     Coalescer, RwrRowCache, ScoreMatrix,
 };
 
@@ -133,9 +144,7 @@ impl ServeReply {
     }
 }
 
-/// Configures and builds a [`CepsService`] — the one construction surface
-/// (the old `new`/`with_shards`/`uncached` trio delegates here and is
-/// deprecated).
+/// Configures and builds a [`CepsService`] — the one construction surface.
 ///
 /// ```
 /// use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder};
@@ -181,7 +190,7 @@ impl CepsServiceBuilder {
     }
 
     /// Sets the row-cache byte budget. `0` disables the cache entirely
-    /// (every query solves cold — the old `uncached` constructor).
+    /// (every query solves cold).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
         self
@@ -282,38 +291,6 @@ pub struct CepsService {
 }
 
 impl CepsService {
-    /// Wraps `engine` with a row cache of `cache_bytes` total budget
-    /// (sharded [`ceps_rwr::cache::DEFAULT_SHARDS`] ways). A zero budget
-    /// behaves like [`CepsService::uncached`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use CepsServiceBuilder::new().cache_bytes(..)"
-    )]
-    pub fn new(engine: CepsEngine, cache_bytes: usize) -> Self {
-        CepsServiceBuilder::new()
-            .cache_bytes(cache_bytes)
-            .build(engine)
-    }
-
-    /// Like `CepsService::new` with an explicit shard count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use CepsServiceBuilder::new().cache_bytes(..).shards(..)"
-    )]
-    pub fn with_shards(engine: CepsEngine, cache_bytes: usize, shards: usize) -> Self {
-        CepsServiceBuilder::new()
-            .cache_bytes(cache_bytes)
-            .shards(shards)
-            .build(engine)
-    }
-
-    /// Wraps `engine` with no cache at all — every query solves cold.
-    /// The control arm of the serving benchmark.
-    #[deprecated(since = "0.1.0", note = "use CepsServiceBuilder::new().uncached()")]
-    pub fn uncached(engine: CepsEngine) -> Self {
-        CepsServiceBuilder::new().uncached().build(engine)
-    }
-
     /// The default worker count serving harnesses should fan this service
     /// over (set via [`CepsServiceBuilder::workers`], at least 1).
     pub fn workers(&self) -> usize {
@@ -328,7 +305,7 @@ impl CepsService {
     /// # Errors
     /// As in [`CepsEngine::run`].
     pub fn serve(&self, request: &ServeRequest) -> Result<ServeReply> {
-        let result = self.run(&request.queries)?;
+        let (result, _) = self.run(&request.queries)?;
         Ok(ServeReply::from_result(&result, &request.queries))
     }
 
@@ -417,7 +394,7 @@ impl CepsService {
         nodes.truncate(max_rows);
         let mut warmed = 0usize;
         for chunk in nodes.chunks(WARM_CHUNK) {
-            scores_with_cache_coalesced(self.engine.backend().as_ref(), cache, chunk, None)?;
+            scores_with_cache(self.engine.backend().as_ref(), cache, chunk, None)?;
             warmed += chunk.len();
         }
         self.warm_rows.fetch_add(warmed as u64, Ordering::Relaxed);
@@ -434,73 +411,107 @@ impl CepsService {
     /// [`CepsEngine::individual_scores`].
     pub fn individual_scores(&self, queries: &[NodeId]) -> Result<ScoreMatrix> {
         self.engine.validate_queries(queries)?;
+        Ok(self.step1(queries)?.0)
+    }
+
+    /// Step 1 for already-validated queries: through the row cache (and the
+    /// coalescing window, when one is configured) or, uncached, straight to
+    /// the engine with 0/0 lookups.
+    fn step1(&self, queries: &[NodeId]) -> Result<(ScoreMatrix, CacheLookups)> {
         match &self.cache {
-            Some(cache) => Ok(scores_with_cache_coalesced(
+            Some(cache) => Ok(scores_with_cache(
                 self.engine.backend().as_ref(),
                 cache,
                 queries,
                 self.coalesce.as_deref(),
-            )?
-            .0),
-            None => self.engine.individual_scores(queries),
+            )?),
+            None => Ok((
+                self.engine.individual_scores(queries)?,
+                CacheLookups::default(),
+            )),
         }
     }
 
-    /// The full pipeline (Table 1) with cached Step 1.
-    ///
-    /// # Errors
-    /// As in [`CepsEngine::run`].
-    pub fn run(&self, queries: &[NodeId]) -> Result<CepsResult> {
-        Ok(self.run_timed(queries)?.0)
-    }
-
-    /// Like [`run`](CepsService::run), also returning the per-stage wall
-    /// times (`scores_ms` covers the whole Step 1 assembly: cache probes
-    /// plus the batched solve over misses). The request runs under a
-    /// `serve.request` span with the stage spans nested inside it.
-    ///
-    /// # Errors
-    /// As in [`CepsEngine::run`].
-    pub fn run_timed(&self, queries: &[NodeId]) -> Result<(CepsResult, StageTimes)> {
-        self.run_instrumented(queries).map(|(r, m)| (r, m.stages))
-    }
-
-    /// Like [`run_timed`](CepsService::run_timed), additionally reporting
-    /// this request's own cache outcome — how many of its distinct query
-    /// rows were warm vs solved cold (always 0/0 when running uncached).
-    /// This is what per-request tracing records; the global
+    /// The full pipeline (Table 1) with cached Step 1, plus this request's
+    /// own measurements: per-stage wall times (`scores_ms` covers the whole
+    /// Step 1 assembly — cache probes plus the batched solve over misses)
+    /// and how many of its distinct query rows were warm vs solved cold
+    /// (always 0/0 when running uncached). The global
     /// [`cache_stats`](CepsService::cache_stats) counters cannot attribute
-    /// warmth to a single request in a concurrent stream.
+    /// warmth to a single request in a concurrent stream; these can. The
+    /// request runs under a `serve.request` span with the stage spans
+    /// nested inside it.
     ///
     /// # Errors
     /// As in [`CepsEngine::run`].
-    pub fn run_instrumented(&self, queries: &[NodeId]) -> Result<(CepsResult, RequestMetrics)> {
+    pub fn run(&self, queries: &[NodeId]) -> Result<(CepsResult, RequestMetrics)> {
         let _span = ceps_obs::span("serve.request");
         self.engine.validate_queries(queries)?;
         self.engine.config().validate(queries.len())?;
-        let (step1, t_scores) = ceps_obs::timed("stage.individual_scores", || match &self.cache {
-            Some(cache) => {
-                let (m, l) = scores_with_cache_coalesced(
-                    self.engine.backend().as_ref(),
-                    cache,
-                    queries,
-                    self.coalesce.as_deref(),
-                )?;
-                Ok((m, l.hits, l.misses))
-            }
-            None => self.engine.individual_scores(queries).map(|m| (m, 0, 0)),
-        });
-        let (scores, cache_hits, cache_misses) = step1?;
-        let (result, mut times) = self.engine.run_with_scores_timed(queries, scores)?;
-        times.scores_ms = t_scores.as_secs_f64() * 1e3;
+        let (step1, t_scores) = ceps_obs::timed("stage.individual_scores", || self.step1(queries));
+        let (scores, lookups) = step1?;
+        let (result, mut stages) = self.engine.run_with_scores_timed(queries, scores)?;
+        stages.scores_ms = t_scores.as_secs_f64() * 1e3;
         Ok((
             result,
             RequestMetrics {
-                stages: times,
-                cache_hits,
-                cache_misses,
+                stages,
+                cache_hits: lookups.hits,
+                cache_misses: lookups.misses,
             },
         ))
+    }
+
+    /// Serves one request: runs it under `origin`'s trace context, times
+    /// it, feeds the live registry (`serve.requests` and the
+    /// `serve.latency_ms` histogram on success, `serve.errors` on failure)
+    /// and hands the outcome to `tracer`, which writes at most one
+    /// `ceps-trace/v1` line for it — errored requests included, with
+    /// zeroed stages and `outcome: "error"`.
+    ///
+    /// This is the single request handler behind both
+    /// [`serve_stream`](CepsService::serve_stream) and the `ceps-net`
+    /// server's `Query` frames; admission, queueing and wire metrics stay
+    /// with the caller. Returns the run's outcome and its latency in
+    /// milliseconds.
+    pub fn handle(
+        &self,
+        queries: &[NodeId],
+        origin: RequestOrigin,
+        tracer: Option<&RequestTracer>,
+    ) -> (Result<(CepsResult, RequestMetrics)>, f64) {
+        let _trace_guard = origin.trace.map(ceps_obs::with_trace);
+        let t0 = Instant::now();
+        let outcome = self.run(queries);
+        let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
+        match &outcome {
+            Ok(_) => {
+                ceps_obs::counter("serve.requests", 1);
+                ceps_obs::record("serve.latency_ms", latency_ms);
+            }
+            Err(_) => ceps_obs::counter("serve.errors", 1),
+        }
+        if let Some(tracer) = tracer {
+            let (metrics, paths) = match &outcome {
+                Ok((result, metrics)) => (*metrics, result.paths.len()),
+                Err(_) => (RequestMetrics::default(), 0),
+            };
+            tracer.record(&RequestTrace {
+                request_id: origin.request_id,
+                worker: origin.worker,
+                queries: queries.len(),
+                latency_ms,
+                queue_ms: origin.queue_ms,
+                stages: metrics.stages,
+                cache_hits: metrics.cache_hits,
+                cache_misses: metrics.cache_misses,
+                budget: self.engine.config().budget,
+                paths,
+                error: outcome.as_ref().err().map(ToString::to_string),
+                trace_id: origin.trace.map(|c| c.trace_id),
+            });
+        }
+        (outcome, latency_ms)
     }
 
     /// Serves every query set in `stream` across `workers` scoped threads
@@ -512,28 +523,16 @@ impl CepsService {
     /// scheduling-dependent — but results are not: every worker reads
     /// through the same cache and the backend is deterministic.
     ///
+    /// Every request goes through [`handle`](CepsService::handle) with its
+    /// stream index as the request id. With a `tracer`, each request may
+    /// emit one `ceps-trace/v1` line; whenever a tracer or a recorder is
+    /// live, each request also runs under a fresh root trace context so
+    /// spans, histogram exemplars and the trace line share one id.
+    ///
     /// # Errors
     /// The first query-set error a worker hits (remaining sets still
     /// drain; their results are discarded).
-    pub fn serve_stream(&self, stream: &[Vec<NodeId>], workers: usize) -> Result<ServeOutcome> {
-        self.serve_stream_traced(stream, workers, None)
-    }
-
-    /// [`serve_stream`](CepsService::serve_stream) with an optional
-    /// per-request [`RequestTracer`]: each request gets a deterministic id
-    /// (its stream index) and, when sampled, one `ceps-trace/v1` JSONL
-    /// line recording worker, latency, stage times, this request's cache
-    /// hits/misses, budget, extracted path count and outcome. Errored
-    /// requests are traced too (zeroed stages, `outcome: "error"`).
-    ///
-    /// Every completed request also feeds the live registry — the
-    /// `serve.requests` counter and the `serve.latency_ms` histogram — so
-    /// an attached [`ceps_obs::MetricsExporter`] sees traffic as it
-    /// happens (no-ops unless a recorder is installed).
-    ///
-    /// # Errors
-    /// As in [`serve_stream`](CepsService::serve_stream).
-    pub fn serve_stream_traced(
+    pub fn serve_stream(
         &self,
         stream: &[Vec<NodeId>],
         workers: usize,
@@ -557,57 +556,21 @@ impl CepsService {
                             let Some(queries) = stream.get(i) else {
                                 break;
                             };
-                            let t0 = Instant::now();
-                            // Each request gets a fresh root trace context
-                            // so spans, histogram exemplars, and the trace
-                            // line share one id. Skipped entirely when
-                            // nothing would consume it — the untraced path
-                            // stays free and scores are identical either
-                            // way.
-                            let _trace_guard = (tracer.is_some() || ceps_obs::enabled())
-                                .then(|| ceps_obs::with_trace(ceps_obs::TraceContext::new_root()));
-                            match self.run_instrumented(queries) {
-                                Ok((result, metrics)) => {
-                                    let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
+                            // The untraced path skips the context entirely;
+                            // scores are identical either way.
+                            let origin = RequestOrigin {
+                                request_id: i as u64,
+                                worker: w,
+                                queue_ms: 0.0,
+                                trace: (tracer.is_some() || ceps_obs::enabled())
+                                    .then(TraceContext::new_root),
+                            };
+                            match self.handle(queries, origin, tracer) {
+                                (Ok((_, metrics)), latency_ms) => {
                                     latencies.push(latency_ms);
                                     stages.accumulate(&metrics.stages);
-                                    ceps_obs::counter("serve.requests", 1);
-                                    ceps_obs::record("serve.latency_ms", latency_ms);
-                                    if let Some(tracer) = tracer {
-                                        tracer.record(&RequestTrace {
-                                            request_id: i as u64,
-                                            worker: w,
-                                            queries: queries.len(),
-                                            latency_ms,
-                                            queue_ms: 0.0,
-                                            stages: metrics.stages,
-                                            cache_hits: metrics.cache_hits,
-                                            cache_misses: metrics.cache_misses,
-                                            budget: self.engine.config().budget,
-                                            paths: result.paths.len(),
-                                            error: None,
-                                            trace_id: ceps_obs::current_trace().map(|c| c.trace_id),
-                                        });
-                                    }
                                 }
-                                Err(e) => {
-                                    ceps_obs::counter("serve.errors", 1);
-                                    if let Some(tracer) = tracer {
-                                        tracer.record(&RequestTrace {
-                                            request_id: i as u64,
-                                            worker: w,
-                                            queries: queries.len(),
-                                            latency_ms: t0.elapsed().as_secs_f64() * 1e3,
-                                            queue_ms: 0.0,
-                                            stages: StageTimes::default(),
-                                            cache_hits: 0,
-                                            cache_misses: 0,
-                                            budget: self.engine.config().budget,
-                                            paths: 0,
-                                            error: Some(e.to_string()),
-                                            trace_id: ceps_obs::current_trace().map(|c| c.trace_id),
-                                        });
-                                    }
+                                (Err(e), _) => {
                                     if first_err.is_none() {
                                         first_err = Some(e);
                                     }
@@ -656,8 +619,24 @@ impl CepsService {
     }
 }
 
-/// One request's own measurements, as returned by
-/// [`CepsService::run_instrumented`].
+/// The caller-side facts about one request that
+/// [`CepsService::handle`] cannot know itself: who sent it, which
+/// thread serves it, how long it queued, and which trace it belongs to.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestOrigin {
+    /// Request id: the stream index in replay, the frame id on the wire.
+    pub request_id: u64,
+    /// Index of the serving thread.
+    pub worker: usize,
+    /// Time between frame decode and the start of execution, in
+    /// milliseconds (0 for in-process serving).
+    pub queue_ms: f64,
+    /// Trace context the request runs under and its trace line carries;
+    /// `None` runs it outside any trace.
+    pub trace: Option<TraceContext>,
+}
+
+/// One request's own measurements, as returned by [`CepsService::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestMetrics {
     /// Per-stage wall times for this request.
@@ -770,17 +749,7 @@ impl ServeOutcome {
     /// minimum, `p >= 100` (and non-finite `p`) the maximum — so the
     /// result is never `NaN` and never indexes out of bounds.
     pub fn latency_percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
-        let n = self.latencies_ms.len();
-        let p = if p.is_finite() {
-            p.clamp(0.0, 100.0)
-        } else {
-            100.0
-        };
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.latencies_ms[rank.clamp(1, n) - 1]
+        ceps_obs::nearest_rank(&self.latencies_ms, p)
     }
 
     /// Mean per-request stage times — [`ServeOutcome::stages`] divided by
@@ -839,7 +808,7 @@ mod tests {
         let queries = [NodeId(1), NodeId(6)];
         // Twice: cold then fully warm.
         for _ in 0..2 {
-            let served = service.run(&queries).unwrap();
+            let (served, _) = service.run(&queries).unwrap();
             let direct = e.run(&queries).unwrap();
             assert_eq!(served.scores, direct.scores);
             assert_eq!(served.combined, direct.combined);
@@ -857,6 +826,12 @@ mod tests {
         let e = engine();
         let service = CepsServiceBuilder::new().uncached().build(e.clone());
         assert!(service.cache_stats().is_none());
+        // A zero byte budget means "no cache", exactly like `uncached`.
+        assert!(CepsServiceBuilder::new()
+            .cache_bytes(0)
+            .build(engine())
+            .cache_stats()
+            .is_none());
         let queries = [NodeId(0), NodeId(11)];
         assert_eq!(
             service.individual_scores(&queries).unwrap(),
@@ -886,7 +861,7 @@ mod tests {
         let stream: Vec<Vec<NodeId>> = (0..12)
             .map(|i| vec![NodeId(i % 15), NodeId((i + 5) % 15)])
             .collect();
-        let out = service.serve_stream(&stream, 3).unwrap();
+        let out = service.serve_stream(&stream, 3, None).unwrap();
         assert_eq!(out.completed, 12);
         assert_eq!(out.workers, 3);
         assert_eq!(out.latencies_ms.len(), 12);
@@ -903,7 +878,7 @@ mod tests {
             .cache_bytes(1 << 20)
             .build(engine());
         let stream: Vec<Vec<NodeId>> = (0..6).map(|i| vec![NodeId(i), NodeId(i + 7)]).collect();
-        let out = service.serve_stream(&stream, 2).unwrap();
+        let out = service.serve_stream(&stream, 2, None).unwrap();
         assert!(out.stages.scores_ms > 0.0, "Step 1 took measurable time");
         assert!(out.stages.combine_ms >= 0.0 && out.stages.extract_ms >= 0.0);
         let mean = out.mean_stage_ms();
@@ -911,26 +886,6 @@ mod tests {
         // The per-stage sum accounts for most of each request's latency.
         let latency_sum: f64 = out.latencies_ms.iter().sum();
         assert!(out.stages.total_ms() <= latency_sum);
-    }
-
-    #[test]
-    fn latency_percentile_clamps_out_of_range_p() {
-        let out = ServeOutcome {
-            completed: 4,
-            workers: 1,
-            wall_ms: 10.0,
-            latencies_ms: vec![1.0, 2.0, 3.0, 4.0],
-            stages: StageTimes::default(),
-            cache: None,
-        };
-        assert_eq!(out.latency_percentile_ms(0.0), 1.0, "p=0 is the minimum");
-        assert_eq!(out.latency_percentile_ms(-5.0), 1.0);
-        assert_eq!(out.latency_percentile_ms(100.0), 4.0);
-        assert_eq!(out.latency_percentile_ms(250.0), 4.0, "p>100 clamps");
-        assert_eq!(out.latency_percentile_ms(f64::NAN), 4.0);
-        assert_eq!(out.latency_percentile_ms(f64::INFINITY), 4.0);
-        assert_eq!(out.latency_percentile_ms(50.0), 2.0);
-        assert!(!out.latency_percentile_ms(33.3).is_nan());
     }
 
     #[test]
@@ -983,9 +938,7 @@ mod tests {
             .collect();
         let buf = crate::telemetry::tests::SharedBuf::default();
         let tracer = RequestTracer::new(Box::new(buf.clone()), 1.0);
-        let out = service
-            .serve_stream_traced(&stream, 2, Some(&tracer))
-            .unwrap();
+        let out = service.serve_stream(&stream, 2, Some(&tracer)).unwrap();
         assert_eq!(out.completed, 8);
         assert_eq!(tracer.written(), 8, "rate 1.0 keeps every request");
         let lines = buf.lines();
@@ -1025,7 +978,7 @@ mod tests {
         ];
         let buf = crate::telemetry::tests::SharedBuf::default();
         let tracer = RequestTracer::new(Box::new(buf.clone()), 1.0);
-        let err = service.serve_stream_traced(&stream, 1, Some(&tracer));
+        let err = service.serve_stream(&stream, 1, Some(&tracer));
         assert!(err.is_err(), "bad node surfaces as stream error");
         let lines = buf.lines();
         assert_eq!(lines.len(), 3, "errored requests are traced too");
@@ -1036,22 +989,20 @@ mod tests {
     }
 
     #[test]
-    fn run_instrumented_matches_run_timed_and_counts_cache() {
+    fn run_counts_this_requests_cache_lookups() {
         let service = CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
             .build(engine());
         let queries = [NodeId(2), NodeId(9)];
-        let (cold, m_cold) = service.run_instrumented(&queries).unwrap();
+        let (cold, m_cold) = service.run(&queries).unwrap();
         assert_eq!((m_cold.cache_hits, m_cold.cache_misses), (0, 2));
-        let (warm, m_warm) = service.run_instrumented(&queries).unwrap();
+        let (warm, m_warm) = service.run(&queries).unwrap();
         assert_eq!((m_warm.cache_hits, m_warm.cache_misses), (2, 0));
         assert_eq!(cold.scores, warm.scores);
-        let (timed, stages) = service.run_timed(&queries).unwrap();
-        assert_eq!(timed.scores, cold.scores);
-        assert!(stages.scores_ms >= 0.0);
+        assert!(m_warm.stages.scores_ms >= 0.0);
         // Uncached service reports 0/0, not a phantom miss count.
         let uncached = CepsServiceBuilder::new().uncached().build(engine());
-        let (_, m) = uncached.run_instrumented(&queries).unwrap();
+        let (_, m) = uncached.run(&queries).unwrap();
         assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
     }
 
@@ -1061,7 +1012,7 @@ mod tests {
             .cache_bytes(1 << 20)
             .build(engine());
         let stream = vec![vec![NodeId(0)], vec![NodeId(999)], vec![NodeId(1)]];
-        assert!(service.serve_stream(&stream, 2).is_err());
+        assert!(service.serve_stream(&stream, 2, None).is_err());
     }
 
     #[test]
@@ -1074,7 +1025,7 @@ mod tests {
             .shards(2)
             .build(e.clone());
         let stream: Vec<Vec<NodeId>> = (0..20).map(|i| vec![NodeId(i % 15)]).collect();
-        let out = service.serve_stream(&stream, 4).unwrap();
+        let out = service.serve_stream(&stream, 4, None).unwrap();
         assert_eq!(out.completed, 20);
         for queries in &stream {
             assert_eq!(
@@ -1082,52 +1033,6 @@ mod tests {
                 e.individual_scores(queries).unwrap()
             );
         }
-    }
-
-    /// The deprecated constructor trio must stay behaviourally identical
-    /// to the builder it now delegates to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_builder() {
-        let e = engine();
-        let queries = [NodeId(1), NodeId(6)];
-
-        let old = CepsService::new(e.clone(), 1 << 20);
-        let new = CepsServiceBuilder::new()
-            .cache_bytes(1 << 20)
-            .build(e.clone());
-        assert_eq!(
-            old.run(&queries).unwrap().scores,
-            new.run(&queries).unwrap().scores
-        );
-        assert_eq!(old.cache_stats(), new.cache_stats());
-        assert_eq!(old.workers(), new.workers());
-
-        let old = CepsService::with_shards(e.clone(), 4096, 2);
-        let new = CepsServiceBuilder::new()
-            .cache_bytes(4096)
-            .shards(2)
-            .build(e.clone());
-        assert_eq!(
-            old.run(&queries).unwrap().scores,
-            new.run(&queries).unwrap().scores
-        );
-        assert_eq!(old.cache_stats(), new.cache_stats());
-
-        let old = CepsService::uncached(e.clone());
-        let new = CepsServiceBuilder::new().uncached().build(e);
-        assert!(old.cache_stats().is_none() && new.cache_stats().is_none());
-        assert_eq!(
-            old.run(&queries).unwrap().scores,
-            new.run(&queries).unwrap().scores
-        );
-
-        // Zero cache bytes now means "no cache", matching `uncached`.
-        assert!(CepsServiceBuilder::new()
-            .cache_bytes(0)
-            .build(engine())
-            .cache_stats()
-            .is_none());
     }
 
     #[test]
@@ -1203,7 +1108,7 @@ mod tests {
         let stream: Vec<Vec<NodeId>> = (0..10)
             .map(|i| vec![NodeId(i % 15), NodeId((i + 6) % 15)])
             .collect();
-        coalesced.serve_stream(&stream, 3).unwrap();
+        coalesced.serve_stream(&stream, 3, None).unwrap();
         for queries in &stream {
             assert_eq!(
                 coalesced
@@ -1230,7 +1135,7 @@ mod tests {
             .build(engine());
         let request = ServeRequest::new(vec![NodeId(1), NodeId(6)]);
         let reply = service.serve(&request).unwrap();
-        let direct = service.run(&request.queries).unwrap();
+        let (direct, _) = service.run(&request.queries).unwrap();
         assert_eq!(reply, ServeReply::from_result(&direct, &request.queries));
         assert!(reply.members.windows(2).all(|w| w[0].score >= w[1].score));
         assert_eq!(

@@ -1,4 +1,5 @@
-//! Per-request trace emission for [`CepsService::serve_stream`]
+//! Per-request trace emission for [`CepsService::handle`], the one request
+//! handler behind stream replay and the `ceps-net` wire server
 //! (`ceps-trace/v1` JSONL — the schema is documented with the other
 //! schemas in `ceps_obs::snapshot`).
 //!
@@ -19,7 +20,7 @@
 //! changes computation — serving output is identical with or without one
 //! attached.
 //!
-//! [`CepsService::serve_stream`]: crate::CepsService::serve_stream
+//! [`CepsService::handle`]: crate::CepsService::handle
 
 use std::fmt::Write as _;
 use std::fs;
@@ -38,7 +39,8 @@ pub const TAIL_WARMUP: u64 = 32;
 /// `ceps-trace/v1` line.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
-    /// Stream index of the request (deterministic across runs).
+    /// Request id: the stream index in replay (deterministic across
+    /// runs), the frame id on the wire.
     pub request_id: u64,
     /// Worker thread that served it.
     pub worker: usize,

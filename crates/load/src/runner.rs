@@ -113,27 +113,19 @@ pub struct PhaseReport {
     pub p999_ms: f64,
     /// Worst observed latency.
     pub max_ms: f64,
-    /// Mean latency, from the log₂ histogram the phase accumulates.
+    /// Mean latency (sum over count, in arrival order).
     pub mean_ms: f64,
 }
 
 impl PhaseReport {
     fn from_samples(samples: &[Sample]) -> PhaseReport {
         let mut lat: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        // The log₂ histogram mirrors what the obs registry would hold;
-        // its mean is exact (sum/count), the percentiles come from the
-        // sorted samples so SLO checks are not quantised to powers of 2.
-        let mut hist = ceps_obs::Histogram::new();
-        for s in samples {
-            hist.record(s.latency_ms);
-        }
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-            lat[rank.clamp(1, lat.len()) - 1]
+        lat.sort_by(f64::total_cmp);
+        let pct = |p: f64| ceps_obs::nearest_rank(&lat, p);
+        let mean_ms = if lat.is_empty() {
+            0.0
+        } else {
+            samples.iter().fold(0.0, |sum, s| sum + s.latency_ms) / lat.len() as f64
         };
         PhaseReport {
             count: samples.len() as u64,
@@ -151,7 +143,7 @@ impl PhaseReport {
             p99_ms: pct(99.0),
             p999_ms: pct(99.9),
             max_ms: lat.last().copied().unwrap_or(0.0),
-            mean_ms: hist.mean(),
+            mean_ms,
         }
     }
 

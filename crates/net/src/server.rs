@@ -28,7 +28,9 @@
 //! the worker adopts that context for the request: server spans,
 //! histogram exemplars, flight-recorder events, and the per-request
 //! `ceps-trace/v1` line (when a tracer is attached via
-//! [`CepsServer::with_tracer`]) all share the client's `trace_id`.
+//! [`CepsServer::with_tracer`]) all share the client's `trace_id`. The
+//! query itself, its `serve.*` metrics and its trace line go through
+//! [`CepsService::handle`] — the same handler stream replay uses.
 //! Untraced queries get a fresh root context so server-side telemetry is
 //! attributable either way. Sheds and error replies are noted in the
 //! flight recorder (when enabled), and a `DumpFlight` frame returns the
@@ -42,10 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ceps_core::{
-    infer_soft_and_k, CepsService, RequestTrace, RequestTracer, ServeReply, StageTimes,
-};
-use ceps_obs::{counter, flight_note, record, FlightKind, TraceContext};
+use ceps_core::{infer_soft_and_k, CepsService, RequestOrigin, RequestTracer, ServeReply};
+use ceps_obs::{counter, flight_note, nearest_rank, record, FlightKind, TraceContext};
 
 use crate::transport::{Conn, Transport};
 use crate::wire::{Framed, Reply, Request, WireError, WireErrorKind, WireTrace, WIRE_VERSION};
@@ -350,7 +350,8 @@ impl CepsServer {
     fn note_latency(&self, latency_ms: f64) -> f64 {
         let mut ring = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
         let p99 = if ceps_obs::flight_enabled() && ring.len() >= 32 {
-            percentile_sorted(&mut ring.iter().copied().collect::<Vec<_>>(), 99.0)
+            let [p99] = percentiles(&ring, [99.0]);
+            p99
         } else {
             0.0
         };
@@ -364,12 +365,8 @@ impl CepsServer {
     /// Windowed latency percentiles over the retained ring.
     fn latency_percentiles(&self) -> (f64, f64, f64) {
         let ring = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sorted: Vec<f64> = ring.iter().copied().collect();
-        (
-            percentile_sorted(&mut sorted, 50.0),
-            percentile_sorted(&mut sorted, 90.0),
-            percentile_sorted(&mut sorted, 99.0),
-        )
+        let [p50, p90, p99] = percentiles(&ring, [50.0, 90.0, 99.0]);
+        (p50, p90, p99)
     }
 
     /// Feeds one request's queue delay (frame decode → execution start)
@@ -386,11 +383,8 @@ impl CepsServer {
     /// Windowed queue-delay percentiles over the retained ring.
     fn queue_percentiles(&self) -> (f64, f64) {
         let ring = self.queue_delays.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sorted: Vec<f64> = ring.iter().copied().collect();
-        (
-            percentile_sorted(&mut sorted, 50.0),
-            percentile_sorted(&mut sorted, 99.0),
-        )
+        let [p50, p99] = percentiles(&ring, [50.0, 99.0]);
+        (p50, p99)
     }
 
     /// The admission gate (tests hold permits to force `Overloaded`).
@@ -616,11 +610,17 @@ impl CepsServer {
                     .and_then(WireTrace::to_context)
                     .unwrap_or_else(TraceContext::new_root);
                 let _trace_guard = ceps_obs::with_trace(ctx);
-                let start = Instant::now();
-                let queue_ms = start.duration_since(decoded).as_secs_f64() * 1e3;
+                let queue_ms = decoded.elapsed().as_secs_f64() * 1e3;
                 self.note_queue_delay(queue_ms);
-                let outcome = self.service.run_instrumented(&req.queries);
-                let latency_ms = start.elapsed().as_secs_f64() * 1e3;
+                let origin = RequestOrigin {
+                    request_id: id,
+                    worker,
+                    queue_ms,
+                    trace: Some(ctx),
+                };
+                let (outcome, latency_ms) =
+                    self.service
+                        .handle(&req.queries, origin, self.tracer.as_ref());
                 record("net.query_ms", latency_ms);
                 // Every completed query leaves a mark in the ring (value:
                 // latency in µs), so a flight dump shows the recent
@@ -641,50 +641,14 @@ impl CepsServer {
                     );
                 }
                 let reply = match outcome {
-                    Ok((result, metrics)) => {
-                        if let Some(tracer) = &self.tracer {
-                            tracer.record(&RequestTrace {
-                                request_id: id,
-                                worker,
-                                queries: req.queries.len(),
-                                latency_ms,
-                                queue_ms,
-                                stages: metrics.stages,
-                                cache_hits: metrics.cache_hits,
-                                cache_misses: metrics.cache_misses,
-                                budget: self.service.engine().config().budget,
-                                paths: result.paths.len(),
-                                error: None,
-                                trace_id: Some(ctx.trace_id),
-                            });
-                        }
-                        Reply::Scores {
-                            id,
-                            reply: ServeReply::from_result(&result, &req.queries),
-                        }
-                    }
-                    Err(e) => {
-                        if let Some(tracer) = &self.tracer {
-                            tracer.record(&RequestTrace {
-                                request_id: id,
-                                worker,
-                                queries: req.queries.len(),
-                                latency_ms,
-                                queue_ms,
-                                stages: StageTimes::default(),
-                                cache_hits: 0,
-                                cache_misses: 0,
-                                budget: self.service.engine().config().budget,
-                                paths: 0,
-                                error: Some(e.to_string()),
-                                trace_id: Some(ctx.trace_id),
-                            });
-                        }
-                        Reply::Error {
-                            id,
-                            error: WireError::new(WireErrorKind::BadRequest, e.to_string()),
-                        }
-                    }
+                    Ok((result, _)) => Reply::Scores {
+                        id,
+                        reply: ServeReply::from_result(&result, &req.queries),
+                    },
+                    Err(e) => Reply::Error {
+                        id,
+                        error: WireError::new(WireErrorKind::BadRequest, e.to_string()),
+                    },
                 };
                 (reply, false)
             }
@@ -740,15 +704,11 @@ impl CepsServer {
     }
 }
 
-/// Nearest-rank percentile over a scratch buffer (sorted in place);
-/// 0 when empty.
-fn percentile_sorted(values: &mut [f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize;
-    values[rank.min(values.len()) - 1]
+/// Nearest-rank percentiles of a bounded window, one sort for all `ps`.
+fn percentiles<const N: usize>(ring: &VecDeque<f64>, ps: [f64; N]) -> [f64; N] {
+    let mut sorted: Vec<f64> = ring.iter().copied().collect();
+    sorted.sort_by(f64::total_cmp);
+    ps.map(|p| nearest_rank(&sorted, p))
 }
 
 #[cfg(test)]
@@ -884,17 +844,6 @@ mod tests {
         fn text(&self) -> String {
             String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
         }
-    }
-
-    #[test]
-    fn percentile_sorted_uses_nearest_rank() {
-        assert_eq!(percentile_sorted(&mut [], 99.0), 0.0);
-        let mut one = vec![5.0];
-        assert_eq!(percentile_sorted(&mut one, 50.0), 5.0);
-        let mut v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile_sorted(&mut v, 50.0), 50.0);
-        assert_eq!(percentile_sorted(&mut v, 99.0), 99.0);
-        assert_eq!(percentile_sorted(&mut v, 100.0), 100.0);
     }
 
     #[test]

@@ -71,6 +71,6 @@ pub use registry::{
 };
 pub use snapshot::{BucketExemplar, HistogramStat, MetricsSnapshot, SpanStat};
 pub use window::{
-    metrics_event_json, to_prometheus, CounterRate, ExporterConfig, Histogram, HistogramWindow,
-    MetricsExporter, WindowDelta, WindowedMetrics,
+    metrics_event_json, nearest_rank, to_prometheus, CounterRate, ExporterConfig, Histogram,
+    HistogramWindow, MetricsExporter, WindowDelta, WindowedMetrics,
 };

@@ -85,8 +85,9 @@
 //!
 //! # JSONL schema (`ceps-trace/v1`)
 //!
-//! One object per sampled `serve_stream` request, appended by
-//! `ceps_core::RequestTracer` (`ceps serve --trace-out`):
+//! One object per sampled served request — stream replay and wire
+//! `Query` frames alike, both through `ceps_core::CepsService::handle` —
+//! appended by `ceps_core::RequestTracer` (`ceps serve --trace-out`):
 //!
 //! ```json
 //! {"schema": "ceps-trace/v1", "request_id": 42, "worker": 1,

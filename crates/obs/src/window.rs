@@ -165,6 +165,29 @@ pub(crate) fn estimate_percentile(
     hi
 }
 
+/// Exact nearest-rank `p`-th percentile of an **ascending-sorted** slice:
+/// the element at rank `⌈p/100 · n⌉`. `p` is clamped into `[0, 100]` —
+/// `p <= 0` gives the minimum, `p >= 100` and non-finite `p` the maximum —
+/// and an empty slice gives 0, so the result is never `NaN` and never
+/// indexes out of bounds.
+///
+/// The one sample-based percentile in the workspace: serving outcomes, the
+/// wire server's windowed rings and the load generator's phase reports all
+/// call it, so their p99s agree on the same samples.
+pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let p = if p.is_finite() {
+        p.clamp(0.0, 100.0)
+    } else {
+        100.0
+    };
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
 /// One timestamped snapshot inside a [`WindowedMetrics`] ring.
 #[derive(Debug, Clone)]
 struct WindowEntry {
@@ -758,6 +781,34 @@ fn flush_once(
 mod tests {
     use super::*;
     use crate::snapshot::{HistogramStat, SpanStat};
+
+    #[test]
+    fn nearest_rank_clamps_out_of_range_p() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(nearest_rank(&v, 0.0), 1.0, "p=0 is the minimum");
+        assert_eq!(nearest_rank(&v, -5.0), 1.0);
+        assert_eq!(nearest_rank(&v, 100.0), 4.0);
+        assert_eq!(nearest_rank(&v, 250.0), 4.0, "p>100 clamps");
+        assert_eq!(nearest_rank(&v, f64::NAN), 4.0);
+        assert_eq!(nearest_rank(&v, f64::INFINITY), 4.0);
+        assert_eq!(nearest_rank(&v, f64::NEG_INFINITY), 4.0);
+        assert_eq!(nearest_rank(&v, 50.0), 2.0);
+        assert!(!nearest_rank(&v, 33.3).is_nan());
+        for p in [-1.0, 0.0, 50.0, 100.0, 1e9, f64::NAN] {
+            assert_eq!(nearest_rank(&[], p), 0.0, "empty → 0 at p={p}");
+        }
+    }
+
+    #[test]
+    fn nearest_rank_picks_the_ceiling_rank() {
+        assert_eq!(nearest_rank(&[5.0], 50.0), 5.0);
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&v, 50.0), 50.0);
+        assert_eq!(nearest_rank(&v, 99.0), 99.0);
+        assert_eq!(nearest_rank(&v, 99.5), 100.0);
+        assert_eq!(nearest_rank(&v, 100.0), 100.0);
+        assert_eq!(nearest_rank(&v, 0.5), 1.0);
+    }
 
     fn uniform_hist(values: impl IntoIterator<Item = f64>) -> Histogram {
         let mut h = Histogram::new();

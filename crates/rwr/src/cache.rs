@@ -18,10 +18,12 @@
 //! length disagrees with the caller's expected node count miss instead of
 //! returning a stale-shaped row.
 //!
-//! [`scores_with_cache`] is the assembly loop `individual_scores` uses: probe
-//! the cache for every query, batch **only the missing nodes** through one
-//! backend solve, insert the fresh rows, and stitch the [`ScoreMatrix`]
-//! together in the caller's query order. Rows are `Arc`-shared between the
+//! [`scores_with_cache`] is the one assembly loop every cached caller uses
+//! (serving Step 1 and cache warming alike): probe the cache for every
+//! query, claim a single-flight slot per distinct miss, batch **only the
+//! missing nodes** through one backend solve (optionally widened by a
+//! [`Coalescer`] window), insert the fresh rows, and stitch the
+//! [`ScoreMatrix`] together in the caller's query order. Rows are `Arc`-shared between the
 //! cache and in-flight results, so eviction never copies or invalidates a
 //! row a reader still holds.
 
@@ -479,28 +481,13 @@ impl RwrRowCache {
     }
 }
 
-/// Solves `queries` against `backend`, serving rows from `cache` where
-/// possible and batching **only the missing nodes** through one backend call.
+/// Per-call cache outcome from [`scores_with_cache`]: how many of one
+/// request's **distinct** query nodes were served from the cache and how
+/// many had to be solved. Duplicated query nodes count once.
 ///
-/// The returned matrix is row-for-row bitwise identical to
-/// `backend.scores(queries)` run cold: hits were produced by the same
-/// batch-independent backend earlier, and misses are produced by it now.
-/// Duplicate query nodes are solved once and the row is reused.
-///
-/// # Errors
-/// [`RwrError::NoQueries`] on an empty slice, plus whatever the backend
-/// solve over the missing nodes returns.
-pub fn scores_with_cache(
-    backend: &dyn ScoreBackend,
-    cache: &RwrRowCache,
-    queries: &[NodeId],
-) -> Result<ScoreMatrix> {
-    scores_with_cache_counted(backend, cache, queries).map(|(m, _)| m)
-}
-
-/// Per-call cache outcome from [`scores_with_cache_counted`]: how many of
-/// one request's **distinct** query nodes were served from the cache and
-/// how many had to be solved. Duplicated query nodes count once.
+/// The cache's global [`CacheStats`] aggregate across all callers, which
+/// makes them useless for attributing warmth to a single request in a
+/// concurrent stream; per-request tracing wants this local tally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLookups {
     /// Distinct query nodes served from the cache.
@@ -509,39 +496,29 @@ pub struct CacheLookups {
     pub misses: u64,
 }
 
-/// [`scores_with_cache`] plus this call's own [`CacheLookups`].
+/// Solves `queries` against `backend`, serving rows from `cache` where
+/// possible, and reports this call's own [`CacheLookups`].
 ///
-/// The cache's global [`CacheStats`] aggregate across all callers, which
-/// makes them useless for attributing warmth to a single request in a
-/// concurrent stream; per-request tracing wants the local tally.
+/// The one miss-resolution path behind every cached caller: cache probe →
+/// single-flight claim per distinct miss → one batched backend solve over
+/// this request's led misses (widened, when a [`Coalescer`] is passed, by a
+/// window gathering leads from concurrent requests) → block on foreign
+/// flights → direct-solve fallback for failed flights.
 ///
-/// # Errors
-/// Same contract as [`scores_with_cache`].
-pub fn scores_with_cache_counted(
-    backend: &dyn ScoreBackend,
-    cache: &RwrRowCache,
-    queries: &[NodeId],
-) -> Result<(ScoreMatrix, CacheLookups)> {
-    scores_with_cache_coalesced(backend, cache, queries, None)
-}
-
-/// The full miss-resolution pipeline behind every cached serving path:
-/// cache probe → single-flight claim per distinct miss → one batched
-/// backend solve over this request's led misses (optionally widened by a
-/// [`Coalescer`] window gathering leads from concurrent requests) → block
-/// on foreign flights → direct-solve fallback for failed flights.
-///
-/// Replies are bitwise-identical to [`scores_with_cache`] run alone: hits,
-/// single-flight handoffs and coalesced rows are all produced by the same
-/// batch-independent backend, and the fallback path is the plain solve.
-/// Hit/miss accounting is probe-based and therefore unchanged by
-/// single-flight and coalescing — a miss that ends up waiting on another
-/// request's solve still counts as this request's miss.
+/// The returned matrix is row-for-row bitwise identical to
+/// `backend.scores(queries)` run cold: hits, single-flight handoffs and
+/// coalesced rows are all produced by the same batch-independent backend,
+/// and the fallback path is the plain solve. Duplicate query nodes are
+/// solved once and the row is reused. Hit/miss accounting is probe-based
+/// and therefore unchanged by single-flight and coalescing — a miss that
+/// ends up waiting on another request's solve still counts as this
+/// request's miss.
 ///
 /// # Errors
-/// Same contract as [`scores_with_cache`]; when a shared solve fails, each
+/// [`RwrError::NoQueries`] on an empty slice, plus whatever the backend
+/// solve over the missing nodes returns; when a shared solve fails, each
 /// participating request re-solves its own nodes and reports that error.
-pub fn scores_with_cache_coalesced(
+pub fn scores_with_cache(
     backend: &dyn ScoreBackend,
     cache: &RwrRowCache,
     queries: &[NodeId],
@@ -723,12 +700,12 @@ mod tests {
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
         let warm = [NodeId(0), NodeId(4), NodeId(8)];
-        let first = scores_with_cache(&be, &cache, &warm).unwrap();
+        let (first, _) = scores_with_cache(&be, &cache, &warm, None).unwrap();
         assert_eq!(first, be.scores(&warm).unwrap());
 
         // Overlapping second batch: 0 and 8 hit, 2 misses cold.
         let mixed = [NodeId(8), NodeId(2), NodeId(0)];
-        let second = scores_with_cache(&be, &cache, &mixed).unwrap();
+        let (second, _) = scores_with_cache(&be, &cache, &mixed, None).unwrap();
         assert_eq!(second, be.scores(&mixed).unwrap());
         let s = cache.stats();
         assert_eq!(s.hits, 2);
@@ -740,7 +717,7 @@ mod tests {
         let be = backend(8);
         let cache = RwrRowCache::new(1 << 20);
         let queries = [NodeId(3), NodeId(3), NodeId(5), NodeId(3)];
-        let m = scores_with_cache(&be, &cache, &queries).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &queries, None).unwrap();
         assert_eq!(m.query_count(), 4);
         assert_eq!(m.row(0), m.row(1));
         assert_eq!(m.row(0), m.row(3));
@@ -756,7 +733,7 @@ mod tests {
         let cache = RwrRowCache::with_shards(row_bytes(16), 1);
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 5) % 16)];
-            let m = scores_with_cache(&be, &cache, &queries).unwrap();
+            let (m, _) = scores_with_cache(&be, &cache, &queries, None).unwrap();
             assert_eq!(m, be.scores(&queries).unwrap());
         }
         assert!(cache.stats().evictions > 0, "budget was supposed to thrash");
@@ -764,15 +741,15 @@ mod tests {
     }
 
     #[test]
-    fn counted_variant_reports_this_calls_lookups_only() {
+    fn lookups_report_this_calls_probes_only() {
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
-        let (_, first) = scores_with_cache_counted(&be, &cache, &[NodeId(0), NodeId(4)]).unwrap();
+        let (_, first) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(4)], None).unwrap();
         assert_eq!(first, CacheLookups { hits: 0, misses: 2 });
         // Second request: one warm node, one cold, one duplicate (counted
         // once) — the local tally ignores the first call's traffic.
         let (m, second) =
-            scores_with_cache_counted(&be, &cache, &[NodeId(4), NodeId(7), NodeId(4)]).unwrap();
+            scores_with_cache(&be, &cache, &[NodeId(4), NodeId(7), NodeId(4)], None).unwrap();
         assert_eq!(second, CacheLookups { hits: 1, misses: 1 });
         assert_eq!(m.query_count(), 3);
         let s = cache.stats();
@@ -784,7 +761,7 @@ mod tests {
         let be = backend(4);
         let cache = RwrRowCache::new(1 << 16);
         assert!(matches!(
-            scores_with_cache(&be, &cache, &[]),
+            scores_with_cache(&be, &cache, &[], None),
             Err(RwrError::NoQueries)
         ));
     }
@@ -798,7 +775,7 @@ mod tests {
             for _ in 0..8 {
                 let (be, cache, expect) = (&be, &cache, &expect);
                 s.spawn(move || {
-                    let (m, _) = scores_with_cache_counted(be, cache, &[NodeId(5)]).unwrap();
+                    let (m, _) = scores_with_cache(be, cache, &[NodeId(5)], None).unwrap();
                     assert_eq!(&m, expect);
                 });
             }
@@ -827,7 +804,7 @@ mod tests {
         std::thread::scope(|s| {
             let (be, cache, expect) = (&be, &cache, &expect);
             let waiter = s.spawn(move || {
-                let (m, l) = scores_with_cache_counted(be, cache, &[NodeId(3)]).unwrap();
+                let (m, l) = scores_with_cache(be, cache, &[NodeId(3)], None).unwrap();
                 assert_eq!(&m, expect);
                 assert_eq!(l, CacheLookups { hits: 0, misses: 1 });
             });
@@ -856,7 +833,7 @@ mod tests {
         std::thread::scope(|s| {
             let (be, cache, expect) = (&be, &cache, &expect);
             let waiter = s.spawn(move || {
-                let (m, _) = scores_with_cache_counted(be, cache, &[NodeId(2)]).unwrap();
+                let (m, _) = scores_with_cache(be, cache, &[NodeId(2)], None).unwrap();
                 assert_eq!(&m, expect, "fallback solve matches");
             });
             std::thread::sleep(std::time::Duration::from_millis(30));

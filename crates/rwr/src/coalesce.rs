@@ -215,7 +215,7 @@ impl Coalescer {
 mod tests {
     use super::*;
     use crate::backend::IterativeScores;
-    use crate::cache::{scores_with_cache_coalesced, RwrRowCache};
+    use crate::cache::{scores_with_cache, RwrRowCache};
     use crate::RwrConfig;
     use ceps_graph::{normalize::Normalization, GraphBuilder, Transition};
     use std::sync::Arc;
@@ -259,7 +259,7 @@ mod tests {
         let co = Coalescer::new(CoalesceConfig::with_window_us(200));
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 7) % 16)];
-            let (m, _) = scores_with_cache_coalesced(&be, &cache, &queries, Some(&co)).unwrap();
+            let (m, _) = scores_with_cache(&be, &cache, &queries, Some(&co)).unwrap();
             assert_eq!(m, be.scores(&queries).unwrap());
         }
         let s = co.stats();
@@ -283,8 +283,7 @@ mod tests {
                 let (be, cache, co) = (&be, &cache, &co);
                 s.spawn(move || {
                     let queries = [NodeId(t * 4), NodeId(t * 4 + 1)];
-                    let (m, _) =
-                        scores_with_cache_coalesced(be, cache, &queries, Some(co)).unwrap();
+                    let (m, _) = scores_with_cache(be, cache, &queries, Some(co)).unwrap();
                     assert_eq!(m, be.scores(&queries).unwrap());
                 });
             }
@@ -312,7 +311,7 @@ mod tests {
             max_batch: 64,
         });
         let t0 = Instant::now();
-        let (m, _) = scores_with_cache_coalesced(&be, &cache, &[NodeId(3)], Some(&co)).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &[NodeId(3)], Some(&co)).unwrap();
         let elapsed = t0.elapsed();
         assert_eq!(m, be.scores(&[NodeId(3)]).unwrap());
         assert!(
@@ -337,8 +336,7 @@ mod tests {
             max_batch: 2,
         });
         let t0 = Instant::now();
-        let (m, _) =
-            scores_with_cache_coalesced(&be, &cache, &[NodeId(0), NodeId(5)], Some(&co)).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(5)], Some(&co)).unwrap();
         assert_eq!(m, be.scores(&[NodeId(0), NodeId(5)]).unwrap());
         assert!(
             t0.elapsed() < Duration::from_secs(3),

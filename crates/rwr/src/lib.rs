@@ -54,10 +54,7 @@ mod solver;
 pub mod variants;
 
 pub use backend::{IterativeScores, PushScores, ScoreBackend};
-pub use cache::{
-    row_cost_bytes, scores_with_cache, scores_with_cache_coalesced, scores_with_cache_counted,
-    CacheLookups, CacheStats, RwrRowCache,
-};
+pub use cache::{row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, RwrRowCache};
 pub use coalesce::{CoalesceConfig, CoalesceStats, Coalescer};
 pub use error::RwrError;
 pub use scores::ScoreMatrix;

@@ -61,7 +61,7 @@ fn wire_replies_are_byte_identical_to_in_process_serve() {
 
         // The shared-vocabulary claim, end to end: subteam membership and
         // scores agree with a direct engine run.
-        let direct = reference.run(&sets[0]).unwrap();
+        let (direct, _) = reference.run(&sets[0]).unwrap();
         let wire = client.request(&ServeRequest::new(sets[0].clone())).unwrap();
         assert_eq!(wire.members.len(), direct.subgraph.len());
         for m in &wire.members {

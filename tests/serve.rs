@@ -86,7 +86,7 @@ fn concurrent_serving_matches_serial_engine() {
     let stream: Vec<Vec<NodeId>> = (0..24)
         .map(|i| repo.sample(1 + (i as usize % 3), 1000 + i))
         .collect();
-    let outcome = service.serve_stream(&stream, 4).unwrap();
+    let outcome = service.serve_stream(&stream, 4, None).unwrap();
     assert_eq!(outcome.completed, stream.len());
     assert!(
         outcome.hit_rate().expect("cache enabled and exercised") > 0.0,
@@ -95,7 +95,7 @@ fn concurrent_serving_matches_serial_engine() {
 
     for queries in &stream {
         assert_eq!(
-            service.run(queries).unwrap().scores,
+            service.run(queries).unwrap().0.scores,
             e.run(queries).unwrap().scores
         );
     }
@@ -115,7 +115,7 @@ fn prelude_covers_the_serving_workflow() -> Result<(), CepsError> {
         ScoreMethod::Iterative
     ));
     let service = CepsServiceBuilder::new().cache_bytes(1 << 20).build(engine);
-    let result = service.run(&[NodeId(0), NodeId(4)])?;
+    let (result, _) = service.run(&[NodeId(0), NodeId(4)])?;
     assert!(result.subgraph.contains(NodeId(2)));
     let stats: CacheStats = service.cache_stats().expect("cache enabled");
     assert_eq!(stats.insertions, 2);

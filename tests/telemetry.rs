@@ -3,16 +3,20 @@
 //! monotone counters), every JSONL metrics/trace line must parse as
 //! standalone JSON carrying its schema version, traced serving must emit
 //! one line per sampled request with stage times that account for the
-//! measured latency, and the exporter's final `.prom` file must match the
-//! final registry snapshot.
+//! measured latency, stream replay and the wire server must write the same
+//! facts on those lines, and the exporter's final `.prom` file must match
+//! the final registry snapshot.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Mutex, OnceLock};
 
 use ceps_core::telemetry::{trace_json, RequestTrace, SampleKind};
-use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder, RequestTracer, StageTimes};
+use ceps_core::{
+    CepsConfig, CepsEngine, CepsServiceBuilder, RequestTracer, ServeRequest, StageTimes,
+};
 use ceps_datagen::{CoauthorConfig, CoauthorGraph, QueryRepository};
 use ceps_graph::NodeId;
+use ceps_net::{in_proc, CepsClient, CepsServer, ServerConfig};
 use ceps_obs::{HistogramStat, MetricsSnapshot, SpanStat, WindowedMetrics};
 use proptest::prelude::*;
 
@@ -426,6 +430,7 @@ proptest! {
 
 #[test]
 fn traced_serving_emits_a_line_per_request_with_consistent_stage_times() {
+    let _guard = obs_lock();
     let (data, repo) = workload();
     let cfg = CepsConfig::default().budget(8).threads(1);
     let engine = CepsEngine::new(&data.graph, cfg).unwrap();
@@ -440,9 +445,7 @@ fn traced_serving_emits_a_line_per_request_with_consistent_stage_times() {
     let stream: Vec<Vec<NodeId>> = (0..16)
         .map(|i| repo.sample(1 + (i as usize % 3), 500 + i))
         .collect();
-    let outcome = service
-        .serve_stream_traced(&stream, 2, Some(&tracer))
-        .unwrap();
+    let outcome = service.serve_stream(&stream, 2, Some(&tracer)).unwrap();
     assert_eq!(outcome.completed, stream.len());
 
     let text = std::fs::read_to_string(&path).unwrap();
@@ -489,6 +492,84 @@ fn traced_serving_emits_a_line_per_request_with_consistent_stage_times() {
 // Exporter end-to-end.
 // ---------------------------------------------------------------------------
 
+/// Stream replay and the wire server answer through one request handler,
+/// so a request's `ceps-trace/v1` line states the same facts whichever
+/// path served it — for a good query set and for one naming a bad node.
+#[test]
+fn stream_and_wire_trace_lines_agree_for_good_and_bad_requests() {
+    let _guard = obs_lock();
+    let (data, repo) = workload();
+    let engine = CepsEngine::new(&data.graph, CepsConfig::default().budget(8).threads(1)).unwrap();
+    let service = CepsServiceBuilder::new()
+        .cache_bytes(32 << 20)
+        .build(engine);
+    let good = repo.sample(3, 77);
+    let bad = vec![good[0], NodeId(u32::MAX - 1)];
+    // Prime the shared cache so both paths see the same warmth.
+    service.run(&good).unwrap();
+
+    let dir = tmp_dir("stream_vs_wire");
+    let stream_path = dir.join("stream.jsonl");
+    let tracer = RequestTracer::to_file(&stream_path, 1.0).unwrap();
+    service
+        .serve_stream(std::slice::from_ref(&good), 1, Some(&tracer))
+        .unwrap();
+    assert!(service
+        .serve_stream(std::slice::from_ref(&bad), 1, Some(&tracer))
+        .is_err());
+
+    let wire_path = dir.join("wire.jsonl");
+    let server = CepsServer::new(service.clone(), ServerConfig::default())
+        .with_tracer(RequestTracer::to_file(&wire_path, 1.0).unwrap());
+    let (mut transport, connector) = in_proc();
+    std::thread::scope(|s| {
+        let server = &server;
+        s.spawn(move || server.serve(&mut transport).unwrap());
+        let mut client = CepsClient::from_conn(Box::new(connector.connect().unwrap()));
+        client.request(&ServeRequest::new(good.clone())).unwrap();
+        assert!(client.request(&ServeRequest::new(bad.clone())).is_err());
+        client.shutdown().unwrap();
+    });
+
+    let lines = |path: &std::path::Path| -> Vec<serde_json::Value> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect()
+    };
+    let keys = |doc: &serde_json::Value| -> BTreeSet<String> {
+        match doc {
+            serde_json::Value::Object(entries) => entries.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("trace line is not an object: {other:?}"),
+        }
+    };
+    let (streamed, wired) = (lines(&stream_path), lines(&wire_path));
+    assert_eq!(streamed.len(), 2, "one line per streamed request");
+    assert_eq!(wired.len(), 2, "one line per wire request");
+    for (st, wi) in streamed.iter().zip(&wired) {
+        assert_eq!(keys(st), keys(wi));
+        for field in [
+            "schema",
+            "queries",
+            "cache_hits",
+            "cache_misses",
+            "budget",
+            "paths",
+            "outcome",
+            "error",
+        ] {
+            assert_eq!(st.get(field), wi.get(field), "{field} differs");
+        }
+    }
+    assert_eq!(streamed[0]["outcome"], "ok");
+    assert_eq!(streamed[0]["cache_hits"].as_u64(), Some(good.len() as u64));
+    assert_eq!(streamed[1]["outcome"], "error");
+    assert!(streamed[1]["error"].as_str().is_some());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn exporter_final_prom_file_matches_the_final_registry_snapshot() {
     let _guard = obs_lock();
@@ -513,7 +594,7 @@ fn exporter_final_prom_file_matches_the_final_registry_snapshot() {
     .unwrap();
 
     let stream: Vec<Vec<NodeId>> = (0..10).map(|i| repo.sample(2, 900 + i)).collect();
-    service.serve_stream(&stream, 2).unwrap();
+    service.serve_stream(&stream, 2, None).unwrap();
 
     drop(exporter); // final flush: the .prom must now equal the registry
     let snap = ceps_obs::snapshot();
