@@ -26,7 +26,7 @@ use ceps_graph::{CsrGraph, NodeId, Subgraph};
 use ceps_rwr::ScoreMatrix;
 
 use self::active::active_sources;
-use self::path::{discover_key_path_in_cone, PathQuery, SourceCone};
+use self::path::{discover_key_path_in_memo, PathQuery, UphillMemo};
 
 /// One key path discovered during extraction, for interpretability: the
 /// paper stresses that EXTRACT "provides some interpretations on why such
@@ -106,10 +106,10 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
     let mut added = 0usize; // non-query nodes added so far
     let mut col = vec![0f64; queries.len()];
     let mut ws = PathWorkspace::new();
-    // Downhill reachability from a source depends only on its score row —
-    // not on the destination or the growing subgraph — so each active
-    // source's cone is computed once and shared across every round.
-    let mut cones: Vec<Option<SourceCone>> = vec![None; queries.len()];
+    // A source's uphill neighbours depend only on its score row — not on
+    // the destination or the growing subgraph — so each active source keeps
+    // one memo across every round; all are dropped when this call returns.
+    let mut memos: Vec<Option<UphillMemo>> = (0..queries.len()).map(|_| None).collect();
 
     while added < budget {
         // Eq. 11: pd = argmax_{j ∉ H} r(Q, j); ties by id for determinism.
@@ -138,9 +138,8 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
 
         let mut found_any = false;
         for &i in &actives {
-            let cone = cones[i]
-                .get_or_insert_with(|| SourceCone::compute(graph, scores.row(i), queries[i]));
-            let key_path = discover_key_path_in_cone(
+            let memo = memos[i].get_or_insert_with(|| UphillMemo::new(n, queries[i]));
+            let key_path = discover_key_path_in_memo(
                 PathQuery {
                     graph,
                     individual: scores.row(i),
@@ -151,7 +150,7 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
                     max_new_nodes: max_path_len,
                     sharing,
                 },
-                cone,
+                memo,
                 &mut ws,
             );
             let Some(nodes) = key_path else { continue };
@@ -187,6 +186,8 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
         ceps_obs::counter("extract.paths", paths.len() as u64);
         ceps_obs::counter("extract.orphans", orphans.len() as u64);
         ceps_obs::counter("extract.nodes_added", added as u64);
+        let scanned = memos.iter().flatten().map(|m| m.scanned).sum();
+        ceps_obs::counter("extract.adjacency_scanned", scanned);
     }
 
     ExtractOutcome {

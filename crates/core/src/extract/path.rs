@@ -18,6 +18,18 @@
 //!   the paper's prose intends to allow.
 //! * `C_s(i, v) = max_{u →ᵢ v} C_{s'}(i, u) + r(Q, v)` with `s' = s` when
 //!   `v ∈ H` (it consumes no budget) and `s' = s − 1` otherwise.
+//!
+//! Pruning: instead of the whole `[key(pd), key(q_i)]` band, the DP runs
+//! over the nodes an *uphill* sweep from `pd` reaches inside the band. The
+//! sweep reads an `UphillMemo`, which lists each node's uphill in-band
+//! neighbours and is filled on first touch, so one EXTRACT call scans each
+//! adjacency list at most once per source. The path is identical to the
+//! unpruned DP's: mass flows downhill from `q_i`, so only nodes
+//! downhill-reachable from `q_i` carry it, and reversing an uphill walk
+//! from `pd` to such a node gives a downhill walk from `q_i` through every
+//! node on it. Every node that carries mass therefore sees all of its
+//! in-band uphill neighbours, in adjacency order, with the same strict `>`
+//! updates; swept nodes outside that cone carry none and change nothing.
 
 use ceps_graph::{CsrGraph, NodeId};
 
@@ -66,6 +78,23 @@ fn key(individual: &[f64], v: u32) -> (f64, std::cmp::Reverse<u32>) {
     (individual[v as usize], std::cmp::Reverse(v))
 }
 
+/// Order-preserving image of a score for sorting: ascending
+/// `(downhill_rank(r(i, v)), v)` is exactly [`key`]'s descending order,
+/// with `-0.0` and `0.0` tied as they are under `f64` comparison.
+#[inline]
+fn downhill_rank(score: f64) -> u64 {
+    // `+ 0.0` folds -0.0 into 0.0. Flipping negatives whole and setting the
+    // sign bit of the rest makes the bits ascend with the score; the final
+    // `!` makes them descend.
+    let bits = (score + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
+}
+
 /// Reusable scratch buffers for [`discover_key_path_with`].
 ///
 /// Path discovery runs once per (destination, active source) pair — dozens
@@ -73,8 +102,8 @@ fn key(individual: &[f64], v: u32) -> (f64, std::cmp::Reverse<u32>) {
 /// local neighbourhood actually explored, not the graph. The two `n`-sized
 /// maps here (`reach` stamps, candidate positions) are the only full-graph
 /// state, and this struct amortizes them across calls: stamps are
-/// invalidated by bumping `epoch`, positions are un-set on exit via the
-/// candidate list, so no per-call `O(n)` clearing happens either.
+/// invalidated by bumping `epoch`, positions are only read for the current
+/// call's candidates, so no per-call `O(n)` clearing happens either.
 #[derive(Debug, Default)]
 pub struct PathWorkspace {
     /// Candidate stamps: a node is a candidate of the current call iff its
@@ -86,15 +115,9 @@ pub struct PathWorkspace {
     pos_of: Vec<u32>,
     epoch: u32,
     stack: Vec<u32>,
-    candidates: Vec<u32>,
-    /// Downhill edges between candidates, `(lower, upper)` node ids, as
-    /// recorded by the ascending sweep.
-    edges: Vec<(u32, u32)>,
-    /// CSR over `edges` by destination position: in-edge sources (as
-    /// positions) of candidate `p` live at
-    /// `edge_src[edge_starts[p]..edge_starts[p + 1]]`.
-    edge_starts: Vec<u32>,
-    edge_src: Vec<u32>,
+    /// Candidates as `(downhill_rank, id)`: ids in sweep order, then ranked
+    /// and sorted into downhill order.
+    order: Vec<(u64, u32)>,
     dp: Vec<f64>,
     parent: Vec<(u32, u32)>,
     /// Bit `s` set ⇔ `dp[p * width + s]` holds finite mass; lets the DP
@@ -120,55 +143,58 @@ impl PathWorkspace {
         }
         self.epoch += 1;
         self.stack.clear();
-        self.candidates.clear();
-        self.edges.clear();
+        self.order.clear();
     }
 }
 
-/// The downhill-reachable cone of one source under one score row.
+/// Memo of one source's uphill neighbours, filled on first touch.
 ///
-/// A node is in the cone when some strictly score-descending walk from the
-/// source reaches it. Crucially this is independent of the destination:
-/// every intermediate node of a downhill walk to `v` scores above `v`, so
-/// a walk that ends inside the `[r(i, pd), r(i, q_i)]` band never leaves
-/// it. It is also independent of the partially built subgraph. EXTRACT
-/// therefore computes one cone per active source and reuses it across all
-/// of that source's destinations.
-#[derive(Debug, Clone)]
-pub struct SourceCone {
+/// For a node `v`, it lists in adjacency order every neighbour `u` with
+/// `key(v) < key(u) ≤ key(q_i)`. That depends only on the source's score
+/// row, not on the destination or the growing subgraph, so EXTRACT keeps
+/// one memo per active source for the whole call (and drops it on return).
+#[derive(Debug)]
+pub(super) struct UphillMemo {
     source: NodeId,
-    reach: Vec<bool>,
+    /// `v`'s list is `arcs[span[v].0..span[v].1]`; start `u32::MAX` while
+    /// unfilled. Arc counts fit `u32` because the CSR offsets do.
+    span: Vec<(u32, u32)>,
+    arcs: Vec<u32>,
+    /// Adjacency entries read while filling.
+    pub(super) scanned: u64,
 }
 
-impl SourceCone {
-    /// Computes the cone of `source` under the score row `individual`.
-    pub fn compute(graph: &CsrGraph, individual: &[f64], source: NodeId) -> Self {
-        let n = graph.node_count();
-        debug_assert_eq!(individual.len(), n);
-        let mut reach = vec![false; n];
-        let mut stack = vec![source.0];
-        reach[source.index()] = true;
-        while let Some(v) = stack.pop() {
-            let vk = key(individual, v);
-            for (u, _w) in graph.neighbors(NodeId(v)) {
-                let u = u.0;
-                if !reach[u as usize] && key(individual, u) < vk {
-                    reach[u as usize] = true;
-                    stack.push(u);
-                }
-            }
+impl UphillMemo {
+    /// An empty memo for `source` over a graph of `n` nodes.
+    pub(super) fn new(n: usize, source: NodeId) -> Self {
+        UphillMemo {
+            source,
+            span: vec![(u32::MAX, 0); n],
+            arcs: Vec::new(),
+            scanned: 0,
         }
-        SourceCone { source, reach }
     }
 
-    /// The source the cone was computed from.
-    pub fn source(&self) -> NodeId {
-        self.source
+    /// `v`'s uphill list, filled on the first call for `v`.
+    fn uphill(&mut self, graph: &CsrGraph, individual: &[f64], v: u32) -> &[u32] {
+        if self.span[v as usize].0 == u32::MAX {
+            let (vk, top) = (key(individual, v), key(individual, self.source.0));
+            let ids = graph.neighbor_ids(NodeId(v));
+            let s = self.arcs.len() as u32;
+            self.arcs.extend(ids.iter().filter(|&&u| {
+                let uk = key(individual, u);
+                vk < uk && uk <= top
+            }));
+            self.scanned += ids.len() as u64;
+            self.span[v as usize] = (s, self.arcs.len() as u32);
+        }
+        self.filled(v)
     }
 
-    /// Whether `v` is downhill-reachable from the source.
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.reach[v.index()]
+    /// `v`'s uphill list; panics unless [`Self::uphill`] filled it.
+    fn filled(&self, v: u32) -> &[u32] {
+        let (s, e) = self.span[v as usize];
+        &self.arcs[s as usize..e as usize]
     }
 }
 
@@ -182,36 +208,25 @@ pub fn discover_key_path(q: PathQuery<'_>) -> Option<Vec<NodeId>> {
     discover_key_path_with(q, &mut PathWorkspace::new())
 }
 
-/// [`discover_key_path`] with caller-provided scratch space; computes the
-/// source's [`SourceCone`] inline. Callers issuing several discoveries from
-/// one source should compute the cone once and use
-/// [`discover_key_path_in_cone`].
+/// [`discover_key_path`] with caller-provided scratch space and a
+/// throwaway `UphillMemo`. EXTRACT instead keeps one memo per source
+/// across all of that source's destinations.
 pub fn discover_key_path_with(q: PathQuery<'_>, ws: &mut PathWorkspace) -> Option<Vec<NodeId>> {
-    if q.source == q.dest {
-        return None;
-    }
-    let cone = SourceCone::compute(q.graph, q.individual, q.source);
-    discover_key_path_in_cone(q, &cone, ws)
+    let mut memo = UphillMemo::new(q.graph.node_count(), q.source);
+    discover_key_path_in_memo(q, &mut memo, ws)
 }
 
-/// [`discover_key_path`] against a precomputed [`SourceCone`].
+/// [`discover_key_path`] against `memo`, which must belong to `q.source`
+/// and to this graph and score row.
 ///
-/// The DP only ever assigns mass to nodes on some downhill walk from the
-/// source, and only nodes with a downhill walk into `pd` can contribute to
-/// the answer — so instead of enumerating every node whose score lies in
-/// the `[r(i, pd), r(i, q_i)]` band (which on a power-law graph is most of
-/// the high-score cone), the candidate set is computed exactly as
-/// {cone of the source} ∩ {backward-reachable from `pd`} with one
-/// score-ascending traversal from `pd` that never leaves the cone. The
-/// surviving candidates keep their relative downhill order, every downhill
-/// edge among them is preserved, and the pruned nodes carried no DP mass,
-/// so the discovered path is identical to the unpruned computation's.
-///
-/// # Panics
-/// Debug-asserts that `cone` belongs to `q.source` and `q.graph`.
-pub fn discover_key_path_in_cone(
+/// The candidates are the band nodes an uphill sweep from `pd` reaches;
+/// the sweep reaching `q_i` is what makes `pd` downhill-reachable. Each
+/// candidate's in-edges are its memo list, and every node on that list is
+/// itself a candidate, so the DP reads them directly (module docs explain
+/// why the path equals the unpruned DP's).
+pub(super) fn discover_key_path_in_memo(
     q: PathQuery<'_>,
-    cone: &SourceCone,
+    memo: &mut UphillMemo,
     ws: &mut PathWorkspace,
 ) -> Option<Vec<NodeId>> {
     if q.source == q.dest {
@@ -221,92 +236,46 @@ pub fn discover_key_path_in_cone(
     debug_assert_eq!(q.individual.len(), n);
     debug_assert_eq!(q.combined.len(), n);
     debug_assert_eq!(q.in_subgraph.len(), n);
-    debug_assert_eq!(cone.source, q.source);
-    debug_assert_eq!(cone.reach.len(), n);
+    debug_assert_eq!(memo.source, q.source);
+    debug_assert_eq!(memo.span.len(), n);
 
-    let dest_key = key(q.individual, q.dest.0);
-    let src_key = key(q.individual, q.source.0);
-    if src_key < dest_key {
+    if key(q.individual, q.source.0) < key(q.individual, q.dest.0) {
         return None; // the source itself is "below" pd: no downhill path
-    }
-    if !cone.reach[q.dest.index()] {
-        return None; // pd is not downhill-reachable at all
     }
 
     ws.begin(n);
     let mark = ws.epoch;
-
-    // Ascending sweep from pd inside the cone; what it marks is exactly
-    // the candidate set (and it never inspects more than their edges).
-    // Every downhill edge between candidates is recorded as it is first
-    // seen — from its lower endpoint, which the sweep pops exactly once —
-    // so the DP below never has to rescan adjacency lists.
     ws.reach[q.dest.index()] = mark;
     ws.stack.push(q.dest.0);
-    ws.candidates.push(q.dest.0);
+    ws.order.push((0, q.dest.0));
     while let Some(v) = ws.stack.pop() {
-        let vk = key(q.individual, v);
-        for (u, _w) in q.graph.neighbors(NodeId(v)) {
-            let u = u.0;
-            if !cone.reach[u as usize] {
-                continue; // outside the cone: never a candidate
-            }
-            if key(q.individual, u) > vk {
-                ws.edges.push((v, u));
-                if ws.reach[u as usize] != mark {
-                    ws.reach[u as usize] = mark;
-                    ws.stack.push(u);
-                    ws.candidates.push(u);
-                }
+        for &u in memo.uphill(q.graph, q.individual, v) {
+            if ws.reach[u as usize] != mark {
+                ws.reach[u as usize] = mark;
+                ws.stack.push(u);
+                ws.order.push((0, u));
             }
         }
     }
+    if ws.reach[q.source.index()] != mark {
+        return None; // pd is not downhill-reachable from the source
+    }
 
-    let individual = q.individual;
-    ws.candidates.sort_unstable_by(|&a, &b| {
-        key(individual, b)
-            .partial_cmp(&key(individual, a))
-            .expect("finite scores")
-    });
-    let candidates = &ws.candidates;
-    // Positions: candidates[0] == source, last == dest.
-    debug_assert_eq!(candidates.first(), Some(&q.source.0));
-    debug_assert_eq!(candidates.last(), Some(&q.dest.0));
-    let m = candidates.len();
-    for (p, &v) in candidates.iter().enumerate() {
+    for c in &mut ws.order {
+        c.0 = downhill_rank(q.individual[c.1 as usize]);
+    }
+    ws.order.sort_unstable();
+    let order = &ws.order;
+    // Positions: order[0] is the source, the last one is the destination.
+    debug_assert_eq!(order.first().map(|c| c.1), Some(q.source.0));
+    debug_assert_eq!(order.last().map(|c| c.1), Some(q.dest.0));
+    let m = order.len();
+    for (p, &(_, v)) in order.iter().enumerate() {
         ws.pos_of[v as usize] = p as u32;
     }
     if ceps_obs::enabled() {
         // Candidate-prune effectiveness: sweep size vs. the whole graph.
         ceps_obs::record("extract.candidates", m as f64);
-    }
-
-    // Bucket the recorded edges by destination position (counting sort):
-    // the DP wants, per candidate, its downhill in-edges as positions.
-    let ecount = ws.edges.len();
-    ws.edge_starts.clear();
-    ws.edge_starts.resize(m + 1, 0);
-    for &(v, _) in &ws.edges {
-        ws.edge_starts[ws.pos_of[v as usize] as usize + 1] += 1;
-    }
-    for p in 0..m {
-        ws.edge_starts[p + 1] += ws.edge_starts[p];
-    }
-    ws.edge_src.clear();
-    ws.edge_src.resize(ecount, 0);
-    {
-        // `edge_starts` doubles as the scatter cursor; shifting it back
-        // afterwards restores the prefix sums.
-        let starts = &mut ws.edge_starts;
-        for &(v, u) in &ws.edges {
-            let slot = &mut starts[ws.pos_of[v as usize] as usize];
-            ws.edge_src[*slot as usize] = ws.pos_of[u as usize];
-            *slot += 1;
-        }
-        for p in (1..=m).rev() {
-            starts[p] = starts[p - 1];
-        }
-        starts[0] = 0;
     }
 
     let len = q.max_new_nodes;
@@ -342,17 +311,15 @@ pub fn discover_key_path_in_cone(
     }
 
     for p in 1..m {
-        let v = candidates[p];
+        let v = order[p].1;
         let v_free = share_free && q.in_subgraph[v as usize];
         let gain = q.combined[v as usize];
         let s_min = usize::from(!v_free);
         let pb = p * width;
         let mut pocc = 0u64;
-        let es = ws.edge_starts[p] as usize;
-        let ee = ws.edge_starts[p + 1] as usize;
-        for &up in &ws.edge_src[es..ee] {
-            let up = up as usize;
-            debug_assert!(up < p, "recorded edges must be downhill");
+        for &u in memo.filled(v) {
+            let up = ws.pos_of[u as usize] as usize;
+            debug_assert!(up < p, "memo arcs must be uphill");
             let ub = up * width;
             if masked {
                 // Transfer: slot s_prev feeds s = s_prev (free node) or
@@ -424,7 +391,7 @@ pub fn discover_key_path_in_cone(
     let mut path = Vec::new();
     let mut p = dest_pos;
     loop {
-        path.push(NodeId(candidates[p]));
+        path.push(NodeId(order[p].1));
         if p == 0 {
             break;
         }
