@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ceps_graph::{normalize::Normalization, Precision, Transition, TransitionOptions};
+use ceps_graph::{normalize::Normalization, Precision, Transition};
 use ceps_pool::PoolHandle;
 use ceps_rwr::{RwrConfig, RwrEngine, ScratchPool};
 
@@ -187,18 +187,17 @@ pub const SCALING_QUERY_COUNT: usize = 5;
 /// Nodes × threads scaling sweep — the paper-scale story in one table.
 ///
 /// For every scale in `scales`, generates a fresh workload, normalizes it
-/// with the default (auto-layout) options — so presets above the banding
-/// threshold exercise the cache-blocked kernel — and times the
-/// **forced-parallel** pooled kernel (`min_work = 0`) at
-/// [`SCALING_QUERY_COUNT`] queries for each worker count. Speedups are
-/// relative to the same scale's 1-thread row (prepended if absent).
+/// with `f64` coefficients and times the **forced-parallel** pooled kernel
+/// (`min_work = 0`) at [`SCALING_QUERY_COUNT`] queries for each worker
+/// count. Speedups are relative to the same scale's 1-thread row
+/// (prepended if absent).
 ///
 /// Alongside the timings each row records the memory story:
 /// `op_f64_mb` / `op_f32_mb` are the normalized operator's footprint at
-/// both storage precisions (offsets + targets + coefficients + band
-/// index), and `peak_rss_mb` is the process's peak resident set
-/// ([`rss::peak_rss_kb`], `0` where procfs is unavailable), reset at the
-/// start of each scale when the platform allows it.
+/// both storage precisions (offsets + targets + coefficients), and
+/// `peak_rss_mb` is the process's peak resident set ([`rss::peak_rss_kb`],
+/// `0` where procfs is unavailable), reset at the start of each scale when
+/// the platform allows it.
 ///
 /// # Panics
 /// Panics if the pooled kernel disagrees with the sequential reference on
@@ -227,20 +226,12 @@ pub fn node_thread_scaling(scales: &[Scale], params: &RwrBenchParams) -> Table {
         let norm = Normalization::DegreePenalized {
             alpha: params.alpha,
         };
-        let transition =
-            Transition::with_options(&workload.data.graph, norm, TransitionOptions::default());
+        let transition = Transition::new(&workload.data.graph, norm);
         let op_f64_mb = transition.memory_bytes() as f64 / (1 << 20) as f64;
         // The f32 operator is built only for its footprint, then dropped
         // before anything is timed.
         let op_f32_mb = {
-            let t32 = Transition::with_options(
-                &workload.data.graph,
-                norm,
-                TransitionOptions {
-                    precision: Precision::F32,
-                    ..TransitionOptions::default()
-                },
-            );
+            let t32 = Transition::with_precision(&workload.data.graph, norm, Precision::F32);
             t32.memory_bytes() as f64 / (1 << 20) as f64
         };
         let queries = workload.repository.sample(q, params.seed);

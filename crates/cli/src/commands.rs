@@ -7,6 +7,7 @@ use std::path::Path;
 
 use ceps_core::{eval, CepsConfig, CepsEngine, CepsServiceBuilder, QueryType, ServeRequest};
 use ceps_graph::{io as gio, CsrGraph, NodeId, NodeLabels};
+use ceps_load::splitmix64;
 use ceps_partition::{partition_graph, PartitionConfig};
 
 use crate::args::ClientAction;
@@ -537,16 +538,6 @@ fn metrics_events_path(prom: &Path) -> std::path::PathBuf {
     } else {
         prom.with_extension("jsonl")
     }
-}
-
-/// splitmix64 — a tiny deterministic generator for the synthetic stream, so
-/// the CLI needs no RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Builds a repository-style query stream: each query node comes from a

@@ -156,9 +156,11 @@ impl PathWorkspace {
 #[derive(Debug)]
 pub(super) struct UphillMemo {
     source: NodeId,
-    /// `v`'s list is `arcs[span[v].0..span[v].1]`; start `u32::MAX` while
-    /// unfilled. Arc counts fit `u32` because the CSR offsets do.
-    span: Vec<(u32, u32)>,
+    /// `v`'s list is stored at `arcs[start[v]]` as its length followed by
+    /// its entries; `0` while unfilled (`arcs[0]` is a placeholder, so no
+    /// list starts there). Zero-initialised, so the pages of nodes a call
+    /// never touches are never written.
+    start: Vec<u32>,
     arcs: Vec<u32>,
     /// Adjacency entries read while filling.
     pub(super) scanned: u64,
@@ -169,32 +171,39 @@ impl UphillMemo {
     pub(super) fn new(n: usize, source: NodeId) -> Self {
         UphillMemo {
             source,
-            span: vec![(u32::MAX, 0); n],
-            arcs: Vec::new(),
+            start: vec![0; n],
+            arcs: vec![0],
             scanned: 0,
         }
     }
 
     /// `v`'s uphill list, filled on the first call for `v`.
     fn uphill(&mut self, graph: &CsrGraph, individual: &[f64], v: u32) -> &[u32] {
-        if self.span[v as usize].0 == u32::MAX {
+        if self.start[v as usize] == 0 {
             let (vk, top) = (key(individual, v), key(individual, self.source.0));
             let ids = graph.neighbor_ids(NodeId(v));
-            let s = self.arcs.len() as u32;
+            let s = self.arcs.len();
+            self.arcs.push(0);
             self.arcs.extend(ids.iter().filter(|&&u| {
                 let uk = key(individual, u);
                 vk < uk && uk <= top
             }));
+            // A list is no longer than `v`'s CSR row, so its length fits
+            // `u32`. Starts also count one length word per filled node, so
+            // on a graph near `u32::MAX` arcs they might not.
+            self.arcs[s] = (self.arcs.len() - s - 1) as u32;
             self.scanned += ids.len() as u64;
-            self.span[v as usize] = (s, self.arcs.len() as u32);
+            self.start[v as usize] = u32::try_from(s).expect("uphill memo exceeds u32 offsets");
         }
         self.filled(v)
     }
 
     /// `v`'s uphill list; panics unless [`Self::uphill`] filled it.
     fn filled(&self, v: u32) -> &[u32] {
-        let (s, e) = self.span[v as usize];
-        &self.arcs[s as usize..e as usize]
+        let s = self.start[v as usize] as usize;
+        assert_ne!(s, 0, "memo list read before it was filled");
+        let len = self.arcs[s] as usize;
+        &self.arcs[s + 1..s + 1 + len]
     }
 }
 
@@ -237,7 +246,7 @@ pub(super) fn discover_key_path_in_memo(
     debug_assert_eq!(q.combined.len(), n);
     debug_assert_eq!(q.in_subgraph.len(), n);
     debug_assert_eq!(memo.source, q.source);
-    debug_assert_eq!(memo.span.len(), n);
+    debug_assert_eq!(memo.start.len(), n);
 
     if key(q.individual, q.source.0) < key(q.individual, q.dest.0) {
         return None; // the source itself is "below" pd: no downhill path

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use ceps_graph::{
     normalize::Normalization, CsrGraph, GraphError, IntoSharedGraph, NodeId, Subgraph, Transition,
-    TransitionOptions,
 };
 use ceps_pool::PoolHandle;
 use ceps_rwr::{combine, ScoreBackend, ScoreMatrix};
@@ -164,13 +163,10 @@ impl CepsEngine {
                 alpha: config.alpha,
             }
         };
-        let transition = Arc::new(Transition::with_options(
+        let transition = Arc::new(Transition::with_precision(
             &graph,
             normalization,
-            TransitionOptions {
-                precision: config.precision,
-                ..TransitionOptions::default()
-            },
+            config.precision,
         ));
         // One lazy pool handle per engine: clones (and the services built
         // on them) share the same workers, which only spawn on the first

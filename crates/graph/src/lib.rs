@@ -53,7 +53,7 @@ pub use csr::{CsrGraph, IntoSharedGraph, NeighborIter};
 pub use error::GraphError;
 pub use id::NodeId;
 pub use labels::NodeLabels;
-pub use normalize::{CoeffsView, Layout, LayoutChoice, Precision, Transition, TransitionOptions};
+pub use normalize::{CoeffsView, Precision, Transition};
 pub use subgraph::Subgraph;
 
 /// Crate-wide result alias.

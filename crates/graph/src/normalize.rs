@@ -29,33 +29,24 @@
 //! stochastic kinds) columns are guaranteed to sum to 1 over the incident
 //! arcs.
 //!
-//! ## Paper-scale layout and precision
+//! ## Layout and precision
 //!
-//! At the paper's DBLP scale (~315K nodes) the input panel `x` of a block
-//! product no longer fits in L2, so the per-arc gather `x[target]` thrashes.
-//! Two orthogonal, opt-in representations address that:
+//! One flat CSR sweep serves every graph size: each row's arcs are visited
+//! once per product in ascending target order, and a const-generic panel
+//! kernel keeps up to eight columns' accumulators in registers. A
+//! cache-blocked ("banded") layout once took over at 2¹⁶ nodes; it was
+//! bitwise equal to the flat sweep but 1.13–2.13× slower per block product
+//! on the medium, large and paper-scale presets (315K nodes, 6.47M arcs),
+//! and its band index cost 9–25% more operator memory. Those operators fit
+//! in the host's last-level cache, so the extra band pass bought nothing.
 //!
-//! * **Cache-blocked (banded) row layout** ([`LayoutChoice::Banded`], picked
-//!   automatically above [`AUTO_BAND_NODE_THRESHOLD`] nodes): each row's
-//!   arcs are partitioned into fixed-width *bands* of the target index
-//!   space, and the kernel sweeps band by band, so all `x` rows touched by
-//!   one band stay cache-resident. Because every CSR row stores its targets
-//!   in ascending order, visiting bands in ascending order preserves the
-//!   exact per-row accumulation order of the flat kernel — the partial
-//!   accumulator round-trips through `out` between bands, and an `f64`
-//!   store/load is exact, so banded results are **bitwise identical** to
-//!   flat results.
-//! * **`f32` coefficients** ([`Precision::F32`]): halves the bandwidth of
-//!   the coefficient array (targets/offsets are already `u32`).
-//!   Accumulation always happens in `f64` — each stored coefficient is
-//!   widened before the fused multiply-add — so the only error source is
-//!   the one-time rounding of each coefficient (≤ 2⁻²⁴ relative). The
-//!   `experiments -- check` quality gate bounds the end-to-end score
-//!   deviation and requires identical EXTRACT output.
-//!
-//! Both default to off ([`TransitionOptions::default`] keeps the flat `f64`
-//! layout on small graphs), and the flat kernel remains the oracle the
-//! banded one is property-tested against.
+//! Coefficients may be stored as `f32` ([`Precision::F32`]), which halves
+//! the bandwidth of the coefficient array (targets/offsets are already
+//! `u32`). Accumulation always happens in `f64` — each stored coefficient
+//! is widened before the multiply-add — so the only error source is the
+//! one-time rounding of each coefficient (≤ 2⁻²⁴ relative). The
+//! `experiments -- check` quality gate bounds the end-to-end score
+//! deviation and requires identical EXTRACT output.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -117,56 +108,6 @@ impl std::fmt::Display for Precision {
         })
     }
 }
-
-/// Requested row layout for a [`Transition`] (see [`TransitionOptions`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LayoutChoice {
-    /// Flat below [`AUTO_BAND_NODE_THRESHOLD`] nodes, banded (with
-    /// [`DEFAULT_BAND_WIDTH`]) at or above it.
-    #[default]
-    Auto,
-    /// Always the flat CSR sweep (the small-graph default and the
-    /// bitwise-identity oracle).
-    Flat,
-    /// Always the cache-blocked layout with the given band width (clamped
-    /// to ≥ 1). Mostly useful for tests and experiments; `Auto` picks a
-    /// width sized so a band's slice of `x` fits in L2.
-    Banded {
-        /// Band width in target-index space (number of columns per band).
-        band_width: u32,
-    },
-}
-
-/// The layout a [`Transition`] actually resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Flat CSR: one pass over each row's full arc list.
-    Flat,
-    /// Cache-blocked: arcs grouped into fixed-width target bands.
-    Banded {
-        /// Band width in target-index space.
-        band_width: u32,
-    },
-}
-
-/// Construction options for [`Transition::with_options`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransitionOptions {
-    /// Row layout (default [`LayoutChoice::Auto`]).
-    pub layout: LayoutChoice,
-    /// Coefficient storage width (default [`Precision::F64`]).
-    pub precision: Precision,
-}
-
-/// Node count at or above which [`LayoutChoice::Auto`] switches to the
-/// banded layout. Below it the whole `x` panel fits comfortably in L2 and
-/// banding only adds bookkeeping.
-pub const AUTO_BAND_NODE_THRESHOLD: usize = 1 << 16;
-
-/// Band width [`LayoutChoice::Auto`] uses: 4096 target rows per band keeps
-/// a band's slice of `x` at `4096 × cols × 8` bytes — 256 KiB for the
-/// widest 8-column panel, i.e. resident in any contemporary L2.
-pub const DEFAULT_BAND_WIDTH: u32 = 4096;
 
 /// A stored coefficient type the kernels can widen to `f64`.
 trait Coefficient: Copy {
@@ -319,106 +260,10 @@ impl Iterator for CoeffsIter<'_> {
 
 impl ExactSizeIterator for CoeffsIter<'_> {}
 
-/// One maximal run of a row's arcs falling into a single target band.
-/// `start..end` indexes the shared `targets`/`coeffs` arrays.
-#[derive(Debug, Clone, Copy)]
-struct BandEntry {
-    row: u32,
-    start: u32,
-    end: u32,
-}
-
-/// The cache-blocked index: per band, the (row-ascending) list of arc runs
-/// that land in it. Sparse by construction — a row contributes one entry
-/// per band it actually touches, so `entries.len() ≤ nnz` and in practice
-/// stays near `node_count` (community-clustered graphs touch few bands per
-/// row).
-#[derive(Debug, Clone)]
-struct Bands {
-    band_width: u32,
-    /// `band_count + 1` prefix offsets into `entries`.
-    band_offsets: Vec<u32>,
-    entries: Vec<BandEntry>,
-}
-
-impl Bands {
-    fn build(offsets: &[u32], targets: &[u32], node_count: usize, band_width: u32) -> Bands {
-        let w = band_width.max(1);
-        let band_count = node_count.div_ceil(w as usize);
-        // Pass 1: segments per band (shifted by one for the prefix sum).
-        let mut band_offsets = vec![0u32; band_count + 1];
-        let per_row = |u: usize, f: &mut dyn FnMut(u32, usize, usize)| {
-            let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
-            let mut i = s;
-            while i < e {
-                let band = targets[i] / w;
-                let mut j = i + 1;
-                while j < e && targets[j] / w == band {
-                    j += 1;
-                }
-                f(band, i, j);
-                i = j;
-            }
-        };
-        for u in 0..node_count {
-            per_row(u, &mut |band, _, _| band_offsets[band as usize + 1] += 1);
-        }
-        for b in 1..band_offsets.len() {
-            band_offsets[b] += band_offsets[b - 1];
-        }
-        // Pass 2: place each segment at its band's cursor. Rows are visited
-        // in ascending order, so entries stay row-sorted within each band —
-        // the invariant the chunked kernel's binary search relies on.
-        let total = *band_offsets.last().unwrap_or(&0) as usize;
-        let mut entries = vec![
-            BandEntry {
-                row: 0,
-                start: 0,
-                end: 0
-            };
-            total
-        ];
-        let mut cursor: Vec<u32> = band_offsets[..band_count].to_vec();
-        for u in 0..node_count {
-            per_row(u, &mut |band, i, j| {
-                let c = &mut cursor[band as usize];
-                entries[*c as usize] = BandEntry {
-                    row: u as u32,
-                    start: i as u32,
-                    end: j as u32,
-                };
-                *c += 1;
-            });
-        }
-        Bands {
-            band_width: w,
-            band_offsets,
-            entries,
-        }
-    }
-
-    fn band_count(&self) -> usize {
-        self.band_offsets.len() - 1
-    }
-
-    fn band_entries(&self, b: usize) -> &[BandEntry] {
-        let (s, e) = (
-            self.band_offsets[b] as usize,
-            self.band_offsets[b + 1] as usize,
-        );
-        &self.entries[s..e]
-    }
-
-    fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.band_offsets.as_slice())
-            + std::mem::size_of_val(self.entries.as_slice())
-    }
-}
-
-/// Flat `K`-column panel kernel: one pass over the full CSR arc list per
-/// row. Per column the arc order is exactly ascending-target order.
+/// `K`-column panel kernel: one pass over the full CSR arc list per row.
+/// Per column the arc order is exactly ascending-target order.
 #[allow(clippy::too_many_arguments)]
-fn flat_panel<const K: usize, C: Coefficient>(
+fn panel<const K: usize, C: Coefficient>(
     offsets: &[u32],
     targets: &[u32],
     coeffs: &[C],
@@ -442,73 +287,10 @@ fn flat_panel<const K: usize, C: Coefficient>(
     }
 }
 
-/// Banded `K`-column panel kernel: zero the panel, then sweep band by band,
-/// folding each arc run into its row's accumulator loaded from (and stored
-/// back to) `out`. Bands ascend and rows store targets ascending, so the
-/// per-row addition sequence is identical to [`flat_panel`]; the `f64`
-/// round-trip through `out` is exact, making the result bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn banded_panel<const K: usize, C: Coefficient>(
-    bands: &Bands,
-    targets: &[u32],
-    coeffs: &[C],
-    x: &[f64],
-    out: &mut [f64],
-    cols: usize,
-    first_row: usize,
-    first_col: usize,
-) {
-    let rows = out.len() / cols;
-    let row_end = first_row + rows;
-    for orow in out.chunks_exact_mut(cols) {
-        orow[first_col..first_col + K].fill(0.0);
-    }
-    for b in 0..bands.band_count() {
-        let entries = bands.band_entries(b);
-        // Restrict to this chunk's rows: entries are row-ascending per band.
-        let lo = entries.partition_point(|en| (en.row as usize) < first_row);
-        let hi = lo + entries[lo..].partition_point(|en| (en.row as usize) < row_end);
-        for en in &entries[lo..hi] {
-            let local = en.row as usize - first_row;
-            let orow = &mut out[local * cols + first_col..local * cols + first_col + K];
-            let mut acc = [0f64; K];
-            acc.copy_from_slice(orow);
-            let (s, e) = (en.start as usize, en.end as usize);
-            for (t, c) in targets[s..e].iter().zip(&coeffs[s..e]) {
-                let xrow = &x[*t as usize * cols + first_col..];
-                for (a, xv) in acc.iter_mut().zip(&xrow[..K]) {
-                    *a += c.widen() * xv;
-                }
-            }
-            orow.copy_from_slice(&acc);
-        }
-    }
-}
-
-/// Dispatches one `K`-column panel to the flat or banded kernel.
-#[allow(clippy::too_many_arguments)]
-fn panel<const K: usize, C: Coefficient>(
-    bands: Option<&Bands>,
-    offsets: &[u32],
-    targets: &[u32],
-    coeffs: &[C],
-    x: &[f64],
-    out: &mut [f64],
-    cols: usize,
-    first_row: usize,
-    first_col: usize,
-) {
-    match bands {
-        None => flat_panel::<K, C>(offsets, targets, coeffs, x, out, cols, first_row, first_col),
-        Some(b) => banded_panel::<K, C>(b, targets, coeffs, x, out, cols, first_row, first_col),
-    }
-}
-
 /// Block kernel over the rows covered by `out`, generic over coefficient
-/// storage and layout. Narrow widths run as one const-generic panel whose
+/// storage. Narrow widths run as one const-generic panel whose
 /// accumulators live in registers; wider blocks sweep in 8-column panels.
 fn block_rows<C: Coefficient>(
-    bands: Option<&Bands>,
     offsets: &[u32],
     targets: &[u32],
     coeffs: &[C],
@@ -520,9 +302,7 @@ fn block_rows<C: Coefficient>(
     debug_assert_eq!(out.len() % cols, 0);
     macro_rules! p {
         ($k:literal, $fc:expr) => {
-            panel::<$k, C>(
-                bands, offsets, targets, coeffs, x, out, cols, first_row, $fc,
-            )
+            panel::<$k, C>(offsets, targets, coeffs, x, out, cols, first_row, $fc)
         };
     }
     match cols {
@@ -573,47 +353,36 @@ fn block_rows<C: Coefficient>(
 /// accumulating the new value at `u`, so one matrix–vector product is a pure
 /// gather over each node's CSR slice (see [`Transition::apply`]).
 ///
-/// Large graphs additionally carry the cache-blocked band index and may
-/// store coefficients in `f32` — see the module docs and
-/// [`Transition::with_options`]. Neither changes the operator's *values*
-/// beyond the documented `f32` rounding, and the banded kernel is bitwise
-/// identical to the flat one.
+/// Coefficients may be stored in `f32` — see the module docs and
+/// [`Transition::with_precision`]; that changes the operator's *values*
+/// only by the documented `f32` rounding.
 #[derive(Debug, Clone)]
 pub struct Transition {
     offsets: Vec<u32>,
     targets: Vec<u32>,
     coeffs: Coeffs,
-    bands: Option<Bands>,
     kind: Normalization,
     node_count: usize,
 }
 
 impl Transition {
-    /// Normalizes `graph` according to `kind`, with default options
-    /// (auto layout, `f64` coefficients).
+    /// Normalizes `graph` according to `kind`, with `f64` coefficients.
     ///
     /// Isolated nodes get an all-zero column (the walk can never reach or
     /// leave them), which the stochastic invariant tolerates.
     pub fn new(graph: &CsrGraph, kind: Normalization) -> Self {
-        Self::with_options(graph, kind, TransitionOptions::default())
+        Self::with_precision(graph, kind, Precision::F64)
     }
 
-    /// Normalizes `graph` according to `kind` with explicit layout and
-    /// precision options.
-    pub fn with_options(graph: &CsrGraph, kind: Normalization, opts: TransitionOptions) -> Self {
+    /// Normalizes `graph` according to `kind`, storing the coefficients at
+    /// `precision`.
+    pub fn with_precision(graph: &CsrGraph, kind: Normalization, precision: Precision) -> Self {
         let (offsets, targets, coeffs, kind) = match kind {
             Normalization::ColumnStochastic => raw_degree_penalized(graph, 0.0),
             Normalization::DegreePenalized { alpha } => raw_degree_penalized(graph, alpha),
             Normalization::Symmetric => raw_symmetric(graph),
         };
-        let n = graph.node_count();
-        let band_width = match opts.layout {
-            LayoutChoice::Flat => None,
-            LayoutChoice::Banded { band_width } => Some(band_width.max(1)),
-            LayoutChoice::Auto => (n >= AUTO_BAND_NODE_THRESHOLD).then_some(DEFAULT_BAND_WIDTH),
-        };
-        let bands = band_width.map(|w| Bands::build(&offsets, &targets, n, w));
-        let coeffs = match opts.precision {
+        let coeffs = match precision {
             Precision::F64 => Coeffs::F64(coeffs),
             Precision::F32 => Coeffs::F32(coeffs.iter().map(|&c| c as f32).collect()),
         };
@@ -621,9 +390,8 @@ impl Transition {
             offsets,
             targets,
             coeffs,
-            bands,
             kind,
-            node_count: n,
+            node_count: graph.node_count(),
         }
     }
 
@@ -637,24 +405,13 @@ impl Transition {
         self.coeffs.precision()
     }
 
-    /// The resolved row layout.
-    pub fn layout(&self) -> Layout {
-        match &self.bands {
-            None => Layout::Flat,
-            Some(b) => Layout::Banded {
-                band_width: b.band_width,
-            },
-        }
-    }
-
     /// Bytes held by the operator's index and coefficient arrays (offsets,
-    /// targets, coefficients, and the band index when present) — the
-    /// number the `f32`/banded memory story is measured by.
+    /// targets and coefficients) — the number the `f32` memory story is
+    /// measured by.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.offsets.as_slice())
             + std::mem::size_of_val(self.targets.as_slice())
             + self.coeffs.bytes()
-            + self.bands.as_ref().map_or(0, Bands::bytes)
     }
 
     /// Number of nodes (matrix dimension).
@@ -685,8 +442,7 @@ impl Transition {
     /// accumulators, instead of being re-read per solve as in the
     /// one-column [`Transition::apply`]. Per column, the accumulation
     /// visits arcs in the same order as `apply`, so results are
-    /// bitwise-identical to `cols` independent scalar products — in the
-    /// banded layout too (see the module docs).
+    /// bitwise-identical to `cols` independent scalar products.
     ///
     /// # Panics
     /// Panics if `cols == 0` or either slice is not `node_count * cols`
@@ -708,30 +464,14 @@ impl Transition {
 
     /// Block kernel over the row range `first_row ..`, writing into `out`
     /// (whose length selects how many rows are computed). Shared by
-    /// [`Transition::apply_block`] and the parallel row-chunked variants.
-    /// Dispatches on coefficient storage and layout, then on panel width.
+    /// [`Transition::apply`], [`Transition::apply_block`] and the row
+    /// chunks of [`Transition::par_apply_block`].
+    /// Dispatches on coefficient storage, then on panel width.
     fn apply_block_rows(&self, x: &[f64], out: &mut [f64], cols: usize, first_row: usize) {
+        let (o, t) = (&self.offsets, &self.targets);
         match &self.coeffs {
-            Coeffs::F64(c) => block_rows(
-                self.bands.as_ref(),
-                &self.offsets,
-                &self.targets,
-                c,
-                x,
-                out,
-                cols,
-                first_row,
-            ),
-            Coeffs::F32(c) => block_rows(
-                self.bands.as_ref(),
-                &self.offsets,
-                &self.targets,
-                c,
-                x,
-                out,
-                cols,
-                first_row,
-            ),
+            Coeffs::F64(c) => block_rows(o, t, c, x, out, cols, first_row),
+            Coeffs::F32(c) => block_rows(o, t, c, x, out, cols, first_row),
         }
     }
 
@@ -752,11 +492,6 @@ impl Transition {
     /// the whole product; nnz balancing is what lets the worker pool keep
     /// every thread busy.
     ///
-    /// In the banded layout, interior boundaries are additionally snapped
-    /// to the nearest band-width multiple (when that keeps chunks
-    /// non-empty), so each worker's chunk covers whole band blocks and the
-    /// per-band entry restriction stays a pair of clean binary searches.
-    ///
     /// Ranges are non-empty, disjoint, ascending and cover `0..node_count`
     /// exactly. A row whose nnz exceeds a quantile span simply becomes its
     /// own (oversized) chunk — rows are never split.
@@ -775,16 +510,7 @@ impl Transition {
         for k in 1..target {
             let want = (k as u64 * nnz).div_ceil(target as u64) as u32;
             // First row index whose prefix sum reaches the quantile.
-            let mut bound = self.offsets.partition_point(|&o| o < want).min(n);
-            if let Some(b) = &self.bands {
-                let w = b.band_width as usize;
-                let down = bound - bound % w;
-                let up = (down + w).min(n);
-                let snapped = if bound - down <= up - bound { down } else { up };
-                if snapped > prev {
-                    bound = snapped;
-                }
-            }
+            let bound = self.offsets.partition_point(|&o| o < want).min(n);
             if bound > prev {
                 chunks.push((prev, bound));
                 prev = bound;
@@ -796,23 +522,10 @@ impl Transition {
         chunks
     }
 
-    /// Parallel [`Transition::apply`] over a persistent [`WorkerPool`]:
-    /// identical to the sequential kernel, with rows computed by whichever
-    /// worker claims them. See [`Transition::par_apply_block`].
-    ///
-    /// # Panics
-    /// Panics if `x` or `out` is not `node_count` long.
-    pub fn par_apply(&self, x: &[f64], out: &mut [f64], pool: &WorkerPool) {
-        assert_eq!(x.len(), self.node_count, "input vector length mismatch");
-        assert_eq!(out.len(), self.node_count, "output vector length mismatch");
-        self.par_apply_block(x, out, 1, pool);
-    }
-
     /// Parallel [`Transition::apply_block`] over a persistent
     /// [`WorkerPool`]: one dispatch (wake → steal → sleep) per call, no
     /// thread spawns. The rows are pre-split into nnz-balanced chunks
-    /// ([`Transition::balanced_row_chunks`], ~4 per worker, band-aligned in
-    /// the banded layout) and claimed off an atomic cursor, so a straggling
+    /// ([`Transition::balanced_row_chunks`], ~4 per worker) and claimed off an atomic cursor, so a straggling
     /// worker sheds load to the others.
     ///
     /// Falls back to the sequential kernel when the pool is
@@ -822,7 +535,7 @@ impl Transition {
     ///
     /// **Bitwise-identical to [`Transition::apply_block`]**: each row is
     /// computed by exactly one worker with the same per-row arithmetic
-    /// order (flat and banded alike), so neither the chunking nor the
+    /// order, so neither the chunking nor the
     /// claiming order can change a single bit of the output.
     ///
     /// Telemetry (when a `ceps-obs` recorder is installed): a `pool.apply`
@@ -1067,7 +780,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A ~60-node weighted graph whose rows span several width-8 bands.
+    /// A ~60-node weighted graph whose rows reach far across the id space.
     fn wide_graph() -> CsrGraph {
         let n = 60u32;
         let mut b = GraphBuilder::new();
@@ -1187,103 +900,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_layout_is_flat_below_threshold() {
-        let g = wide_graph();
-        let t = Transition::new(&g, Normalization::ColumnStochastic);
-        assert_eq!(t.layout(), Layout::Flat);
-        assert_eq!(t.precision(), Precision::F64);
-        assert!(t.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn banded_apply_is_bitwise_identical_to_flat() {
-        let g = wide_graph();
-        let kind = Normalization::DegreePenalized { alpha: 0.5 };
-        let flat = Transition::with_options(
-            &g,
-            kind,
-            TransitionOptions {
-                layout: LayoutChoice::Flat,
-                precision: Precision::F64,
-            },
-        );
-        for band_width in [1u32, 3, 8, 64, 1000] {
-            let banded = Transition::with_options(
-                &g,
-                kind,
-                TransitionOptions {
-                    layout: LayoutChoice::Banded { band_width },
-                    precision: Precision::F64,
-                },
-            );
-            assert_eq!(
-                banded.layout(),
-                Layout::Banded {
-                    band_width: band_width.max(1)
-                }
-            );
-            // cols = 11 exercises the 8-wide panel split too.
-            for cols in [1usize, 2, 5, 8, 11] {
-                let n = g.node_count();
-                let x: Vec<f64> = (0..n * cols).map(|i| (i as f64).sin()).collect();
-                let mut a = vec![0f64; n * cols];
-                let mut b = vec![0f64; n * cols];
-                flat.apply_block(&x, &mut a, cols);
-                banded.apply_block(&x, &mut b, cols);
-                assert!(
-                    a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()),
-                    "band_width {band_width} cols {cols}: banded differs from flat"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn banded_chunked_rows_match_full_apply() {
-        // Drive the chunked entry restriction directly: computing the block
-        // in two arbitrary row chunks must equal one full apply, bitwise.
-        let g = wide_graph();
-        let t = Transition::with_options(
-            &g,
-            Normalization::ColumnStochastic,
-            TransitionOptions {
-                layout: LayoutChoice::Banded { band_width: 8 },
-                precision: Precision::F64,
-            },
-        );
-        let n = g.node_count();
-        let cols = 3;
-        let x: Vec<f64> = (0..n * cols).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut whole = vec![0f64; n * cols];
-        t.apply_block(&x, &mut whole, cols);
-        for split in [1usize, 7, 29, n - 1] {
-            let mut parts = vec![0f64; n * cols];
-            let (lo, hi) = parts.split_at_mut(split * cols);
-            t.apply_block_rows(&x, lo, cols, 0);
-            t.apply_block_rows(&x, hi, cols, split);
-            assert!(
-                whole
-                    .iter()
-                    .zip(&parts)
-                    .all(|(p, q)| p.to_bits() == q.to_bits()),
-                "split at {split} differs"
-            );
-        }
-    }
-
-    #[test]
     fn f32_mode_tracks_f64_and_reports_precision() {
         let g = wide_graph();
         let kind = Normalization::DegreePenalized { alpha: 0.5 };
         let full = Transition::new(&g, kind);
-        let lean = Transition::with_options(
-            &g,
-            kind,
-            TransitionOptions {
-                layout: LayoutChoice::Flat,
-                precision: Precision::F32,
-            },
-        );
+        let lean = Transition::with_precision(&g, kind, Precision::F32);
         assert_eq!(lean.precision(), Precision::F32);
         assert!(lean.memory_bytes() < full.memory_bytes());
         // Every coefficient is within one f32 rounding of the exact value,
@@ -1306,62 +927,6 @@ mod tests {
         lean.apply(&x, &mut b);
         for (p, q) in a.iter().zip(&b) {
             assert!((p - q).abs() < 1e-6, "f32 apply drifted: {p} vs {q}");
-        }
-    }
-
-    #[test]
-    fn f32_banded_is_bitwise_identical_to_f32_flat() {
-        let g = wide_graph();
-        let kind = Normalization::ColumnStochastic;
-        let mk = |layout| {
-            Transition::with_options(
-                &g,
-                kind,
-                TransitionOptions {
-                    layout,
-                    precision: Precision::F32,
-                },
-            )
-        };
-        let flat = mk(LayoutChoice::Flat);
-        let banded = mk(LayoutChoice::Banded { band_width: 16 });
-        let n = g.node_count();
-        let cols = 5;
-        let x: Vec<f64> = (0..n * cols).map(|i| (i as f64).cos()).collect();
-        let mut a = vec![0f64; n * cols];
-        let mut b = vec![0f64; n * cols];
-        flat.apply_block(&x, &mut a, cols);
-        banded.apply_block(&x, &mut b, cols);
-        assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
-    }
-
-    #[test]
-    fn banded_chunks_snap_to_band_boundaries_and_cover_all_rows() {
-        let g = wide_graph();
-        let t = Transition::with_options(
-            &g,
-            Normalization::ColumnStochastic,
-            TransitionOptions {
-                layout: LayoutChoice::Banded { band_width: 8 },
-                precision: Precision::F64,
-            },
-        );
-        let n = g.node_count();
-        for target in [1usize, 2, 3, 5, n] {
-            let chunks = t.balanced_row_chunks(target);
-            assert!(!chunks.is_empty());
-            assert_eq!(chunks.first().unwrap().0, 0);
-            assert_eq!(chunks.last().unwrap().1, n);
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "chunks must tile contiguously");
-            }
-            for &(s, e) in &chunks {
-                assert!(s < e, "empty chunk");
-                // Interior boundaries land on band multiples when possible.
-                if e != n && target <= 3 {
-                    assert_eq!(e % 8, 0, "boundary {e} not band-aligned");
-                }
-            }
         }
     }
 }

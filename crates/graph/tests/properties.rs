@@ -6,7 +6,7 @@ use ceps_graph::{
     algo::{connected_components, dijkstra, hop_distances},
     io::{read_edge_list, write_edge_list},
     normalize::{Normalization, Transition},
-    GraphBuilder, LayoutChoice, NodeId, Precision, Subgraph, TransitionOptions,
+    GraphBuilder, NodeId, Precision, Subgraph,
 };
 use proptest::prelude::*;
 
@@ -137,22 +137,25 @@ proptest! {
 
     /// Pooled row-chunking never changes the output: `par_apply_block`
     /// over a persistent worker pool equals `apply_block` bitwise across
-    /// thread counts {1, 2, 3, 8} and widths {1, 2, 5} (each row is
-    /// computed by exactly one worker, same inner loop). The pool's
-    /// `min_work` is forced to 0 so tiny random graphs still exercise the
-    /// parallel path, and the pool is reused across both calls like the
-    /// solver reuses it across iterations.
+    /// thread counts {1, 2, 3, 8}, widths {1, 2, 5} and both storage
+    /// precisions (each row is computed by exactly one worker, same inner
+    /// loop). The pool's `min_work` is forced to 0 so tiny random graphs
+    /// still exercise the parallel path, and the pool is reused across both
+    /// calls like the solver reuses it across iterations.
     #[test]
     fn par_apply_block_matches_sequential(
         (n, edges) in arb_edges(),
         cols_pick in 0usize..3,
         threads_pick in 0usize..4,
+        precision_pick in 0usize..2,
         fill in proptest::collection::vec(0.0f64..1.0, 24 * 5),
     ) {
         let cols = [1usize, 2, 5][cols_pick];
         let threads = [1usize, 2, 3, 8][threads_pick];
+        let precision = [Precision::F64, Precision::F32][precision_pick];
         let g = build(n, &edges);
-        let t = Transition::new(&g, Normalization::ColumnStochastic);
+        let t = Transition::with_precision(&g, Normalization::ColumnStochastic, precision);
+        prop_assert_eq!(t.precision(), precision);
         let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
         let x: Vec<f64> = fill[..n * cols].to_vec();
         let mut seq = vec![0f64; n * cols];
@@ -160,11 +163,6 @@ proptest! {
         t.apply_block(&x, &mut seq, cols);
         t.par_apply_block(&x, &mut par, cols, &pool);
         prop_assert_eq!(&seq, &par);
-        if cols == 1 {
-            let mut par1 = vec![0f64; n];
-            t.par_apply(&x, &mut par1, &pool);
-            prop_assert_eq!(&seq, &par1);
-        }
     }
 
     /// `balanced_row_chunks` partitions the rows exactly (non-empty,
@@ -198,48 +196,6 @@ proptest! {
                 "chunk [{s}, {e}) holds {nnz} nnz > quantile {quantile} + biggest row {biggest}"
             );
         }
-    }
-
-    /// The cache-blocked (banded) layout is a pure traversal reordering:
-    /// for any graph, band width, column count, storage precision and
-    /// worker count, the banded operator equals the flat one **bitwise** —
-    /// sequentially and through a forced-parallel pooled dispatch. Rows'
-    /// targets are sorted, bands sweep ascending, and the per-band f64
-    /// accumulator round-trips exactly through `out`, so the addition
-    /// order matches the flat kernel addend for addend.
-    #[test]
-    fn banded_layout_matches_flat_bitwise(
-        (n, edges) in arb_edges(),
-        alpha in 0.0f64..2.0,
-        // One index over the full 4 x 3 x 4 x 2 grid of
-        // (cols, threads, band width, precision) combinations.
-        grid_pick in 0usize..96,
-        fill in proptest::collection::vec(0.0f64..1.0, 24 * 8),
-    ) {
-        let cols = [1usize, 2, 5, 8][grid_pick % 4];
-        let threads = [1usize, 2, 4][(grid_pick / 4) % 3];
-        let band_width = [1u32, 3, 7, 16][(grid_pick / 12) % 4];
-        let precision = [Precision::F64, Precision::F32][(grid_pick / 48) % 2];
-        let g = build(n, &edges);
-        let norm = Normalization::DegreePenalized { alpha };
-        let flat = Transition::with_options(&g, norm, TransitionOptions {
-            layout: LayoutChoice::Flat,
-            precision,
-        });
-        let banded = Transition::with_options(&g, norm, TransitionOptions {
-            layout: LayoutChoice::Banded { band_width },
-            precision,
-        });
-        let x: Vec<f64> = fill[..n * cols].to_vec();
-        let mut flat_out = vec![0f64; n * cols];
-        let mut banded_out = vec![0f64; n * cols];
-        flat.apply_block(&x, &mut flat_out, cols);
-        banded.apply_block(&x, &mut banded_out, cols);
-        prop_assert_eq!(&flat_out, &banded_out, "sequential banded != flat");
-        let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
-        let mut par_out = vec![0f64; n * cols];
-        banded.par_apply_block(&x, &mut par_out, cols, &pool);
-        prop_assert_eq!(&flat_out, &par_out, "pooled banded != flat");
     }
 
     /// Dijkstra distances are consistent with BFS hops under unit costs.
