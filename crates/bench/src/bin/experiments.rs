@@ -21,14 +21,12 @@
 //! against it, writing the throughput-latency curve and the knee into
 //! `BENCH_loadgen.json`.
 //!
-//! `check` runs the regression gates instead of any benchmark: first the
-//! perf gate, comparing `BENCH_rwr.json` / `BENCH_serve.json` /
-//! `BENCH_loadgen.json` under
-//! `--current` (default: the `--out` directory) against the committed
-//! baselines under `--baseline` (default `results/`), then the `f32`
-//! precision quality gate (full pipeline at both coefficient precisions on
-//! the `--scale` workload). It prints a pass/fail table per gate and exits
-//! non-zero if either fails. `--tolerance F` scales every perf band by `F`.
+//! `check` runs the perf regression gate instead of any benchmark: it
+//! compares `BENCH_rwr.json` / `BENCH_serve.json` / `BENCH_loadgen.json`
+//! under `--current` (default: the `--out` directory) against the committed
+//! baselines under `--baseline` (default `results/`), prints a pass/fail
+//! table and exits non-zero on any failure. `--tolerance F` scales every
+//! perf band by `F`.
 //!
 //! The `rwr` benchmark additionally emits a nodes × threads scaling table:
 //! every preset from `small` up to `--sweep-scale` (default: `--scale`) is
@@ -178,10 +176,9 @@ fn main() -> ExitCode {
         ceps_obs::reset();
     }
 
-    // The gates run before (and instead of) any benchmark: the perf gate
-    // only diffs already emitted artifacts; the precision gate builds one
-    // `--scale` workload of its own. Like `scaling`, `check` is opt-in and
-    // not part of `all`.
+    // The gate runs before (and instead of) any benchmark and only diffs
+    // already emitted artifacts. Like `scaling`, `check` is opt-in and not
+    // part of `all`.
     if opts.figures.iter().any(|x| x == "check") {
         let current = opts.current.clone().unwrap_or_else(|| opts.out.clone());
         let report = ceps_bench::regression::check(
@@ -191,15 +188,7 @@ fn main() -> ExitCode {
             opts.tolerance,
         );
         print!("{}", report.render());
-        let quality = ceps_bench::quality::precision_check(opts.scale, opts.seed);
-        println!("{}", quality.table.render());
-        println!(
-            "precision gate: max |diff| = {:.3e} (bound {:.1e}) — {}",
-            quality.max_abs_diff,
-            ceps_bench::quality::MAX_SCORE_ABS_DIFF,
-            if quality.passed { "PASS" } else { "FAIL" }
-        );
-        return if report.passed() && quality.passed {
+        return if report.passed() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ceps_graph::{normalize::Normalization, Precision, Transition};
+use ceps_graph::{normalize::Normalization, Transition};
 use ceps_pool::PoolHandle;
 use ceps_rwr::{RwrConfig, RwrEngine, ScratchPool};
 
@@ -187,14 +187,14 @@ pub const SCALING_QUERY_COUNT: usize = 5;
 /// Nodes × threads scaling sweep — the paper-scale story in one table.
 ///
 /// For every scale in `scales`, generates a fresh workload, normalizes it
-/// with `f64` coefficients and times the **forced-parallel** pooled kernel
+/// and times the **forced-parallel** pooled kernel
 /// (`min_work = 0`) at [`SCALING_QUERY_COUNT`] queries for each worker
 /// count. Speedups are relative to the same scale's 1-thread row
 /// (prepended if absent).
 ///
 /// Alongside the timings each row records the memory story:
-/// `op_f64_mb` / `op_f32_mb` are the normalized operator's footprint at
-/// both storage precisions (offsets + targets + coefficients), and
+/// `op_f64_mb` is the normalized operator's footprint (offsets + targets +
+/// `f64` coefficients), and
 /// `peak_rss_mb` is the process's peak resident set ([`rss::peak_rss_kb`],
 /// `0` where procfs is unavailable), reset at the start of each scale when
 /// the platform allows it.
@@ -216,7 +216,6 @@ pub fn node_thread_scaling(scales: &[Scale], params: &RwrBenchParams) -> Table {
             format!("q{q}_ms"),
             format!("q{q}_speedup"),
             "op_f64_mb".into(),
-            "op_f32_mb".into(),
             "peak_rss_mb".into(),
         ],
     );
@@ -228,12 +227,6 @@ pub fn node_thread_scaling(scales: &[Scale], params: &RwrBenchParams) -> Table {
         };
         let transition = Transition::new(&workload.data.graph, norm);
         let op_f64_mb = transition.memory_bytes() as f64 / (1 << 20) as f64;
-        // The f32 operator is built only for its footprint, then dropped
-        // before anything is timed.
-        let op_f32_mb = {
-            let t32 = Transition::with_precision(&workload.data.graph, norm, Precision::F32);
-            t32.memory_bytes() as f64 / (1 << 20) as f64
-        };
         let queries = workload.repository.sample(q, params.seed);
         let reference = engine(&transition, 1).solve_many(&queries).unwrap();
 
@@ -253,15 +246,7 @@ pub fn node_thread_scaling(scales: &[Scale], params: &RwrBenchParams) -> Table {
                 base_ms = ms;
             }
             let peak_mb = rss::peak_rss_kb().unwrap_or(0) as f64 / 1024.0;
-            table.push_row(vec![
-                nodes,
-                t as f64,
-                ms,
-                base_ms / ms,
-                op_f64_mb,
-                op_f32_mb,
-                peak_mb,
-            ]);
+            table.push_row(vec![nodes, t as f64, ms, base_ms / ms, op_f64_mb, peak_mb]);
         }
     }
     table
@@ -334,7 +319,6 @@ mod tests {
                 "q5_ms",
                 "q5_speedup",
                 "op_f64_mb",
-                "op_f32_mb",
                 "peak_rss_mb"
             ]
         );
@@ -343,10 +327,7 @@ mod tests {
             assert_eq!(row[0], 100.0, "tiny preset is 100 nodes");
             assert!(row[2] > 0.0);
             assert!(row[3].is_finite() && row[3] > 0.0);
-            // f32 operator must be strictly smaller, by less than half
-            // (offsets/targets stay u32 either way).
-            assert!(row[5] < row[4]);
-            assert!(row[5] > row[4] / 2.0);
+            assert!(row[4] > 0.0, "operator footprint is reported");
         }
         assert_eq!(t.rows[0][1], 1.0);
         assert_eq!(t.rows[0][3], 1.0, "base row speedup is 1 by definition");

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod quality;
 pub mod regression;
 pub mod report;
 pub mod rss;

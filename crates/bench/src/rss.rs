@@ -1,9 +1,8 @@
 //! Peak-RSS sampling for the scaling tables.
 //!
-//! Timings alone do not tell the paper-scale story: the blocked layout and
-//! `f32` coefficients exist to shrink the *working set*, so the nodes ×
-//! threads table records the process's peak resident set next to each
-//! row's timings. Linux exposes the high-water mark as `VmHWM` in
+//! Timings alone do not tell the paper-scale story: the operator's *working
+//! set* grows with the graph, so the nodes × threads table records the
+//! process's peak resident set next to each row's timings. Linux exposes the high-water mark as `VmHWM` in
 //! `/proc/self/status`; a privileged writer can reset it between
 //! measurements through `/proc/self/clear_refs`.
 //!

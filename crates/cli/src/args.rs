@@ -1,11 +1,11 @@
 //! Argument parsing — hand-rolled to stay within the workspace's
 //! dependency policy (no clap).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 use ceps_core::QueryType;
-use ceps_graph::Precision;
 use ceps_load::{ArrivalKind, MixKind, DEFAULT_HOT_POOL};
 
 use crate::CliError;
@@ -51,8 +51,6 @@ pub enum Command {
         push: Option<f64>,
         /// RWR worker threads (`0` = auto: all available cores).
         threads: usize,
-        /// Storage precision of the normalized operator (`f64` | `f32`).
-        precision: Precision,
         /// Record per-stage spans/counters and print the profile tree.
         profile: bool,
         /// Where to write the `ceps-obs/v1` snapshot (default
@@ -100,8 +98,6 @@ pub enum Command {
         seed: u64,
         /// RWR worker threads per solve (`0` = auto).
         threads: usize,
-        /// Storage precision of the normalized operator (`f64` | `f32`).
-        precision: Precision,
         /// Emit JSON instead of text.
         json: bool,
         /// Record per-stage spans/counters and print the profile tree.
@@ -237,12 +233,11 @@ USAGE:
   ceps query    --graph FILE [--labels FILE] --queries \"a,b,...\"
                 [--type and|or|softand:K] [--budget N] [--alpha A]
                 [--dot FILE] [--json] [--push EPS] [--threads N]
-                [--precision f64|f32]
                 [--profile] [--profile-out FILE]
   ceps serve    --graph FILE [--requests N] [--queries-per Q] [--workers W]
                 [--repeat R] [--budget N] [--alpha A] [--cache-mb M]
                 [--coalesce-us U] [--coalesce-batch N] [--warm-frac F]
-                [--seed N] [--threads N] [--precision f64|f32] [--json]
+                [--seed N] [--threads N] [--json]
                 [--profile] [--profile-out FILE]
                 [--metrics-out FILE.prom] [--metrics-interval MS]
                 [--trace-out FILE.jsonl] [--trace-sample RATE]
@@ -267,9 +262,7 @@ USAGE:
   (all available cores, default 1). Small solves fall back to the
   sequential kernel automatically, so 0 is safe on any graph.
 
-  --precision f32 stores the normalized operator's coefficients in half
-  the memory (accumulation stays f64); scores drift by at most the f32
-  rounding of each coefficient. Default f64 is bitwise-exact.
+  Every subcommand rejects flags it does not take.
 
   serve --listen ADDR turns serve into a long-lived ceps-wire/v1 server
   (ADDR: tcp://host:port, unix:///path, host:port, or a socket path);
@@ -299,36 +292,87 @@ USAGE:
   panics; client --dump-flight fetches the same ring over the wire.
 ";
 
-fn take_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = &args[i];
-        if !key.starts_with("--") {
-            return Err(CliError(format!("unexpected argument {key:?}")));
+/// One subcommand's `--key value` flags. Every lookup records its key, so
+/// after a subcommand's parser has read what it takes,
+/// [`Flags::reject_unread`] names any flag it never looked at.
+struct Flags {
+    values: HashMap<String, String>,
+    read: RefCell<HashSet<String>>,
+}
+
+impl Flags {
+    fn new(args: &[String]) -> Result<Flags, CliError> {
+        let mut values = HashMap::new();
+        let mut i = 0;
+        while i < args.len() {
+            let key = &args[i];
+            if !key.starts_with("--") {
+                return Err(CliError(format!("unexpected argument {key:?}")));
+            }
+            if matches!(
+                key.as_str(),
+                "--json"
+                    | "--profile"
+                    | "--stdin"
+                    | "--ping"
+                    | "--stats"
+                    | "--dump-flight"
+                    | "--shutdown"
+                    | "--search"
+            ) {
+                values.insert(key[2..].to_string(), "true".to_string());
+                i += 1;
+                continue;
+            }
+            let value = args
+                .get(i + 1)
+                .ok_or_else(|| CliError(format!("flag {key} needs a value")))?;
+            values.insert(key[2..].to_string(), value.clone());
+            i += 2;
         }
-        if matches!(
-            key.as_str(),
-            "--json"
-                | "--profile"
-                | "--stdin"
-                | "--ping"
-                | "--stats"
-                | "--dump-flight"
-                | "--shutdown"
-                | "--search"
-        ) {
-            flags.insert(key[2..].to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError(format!("flag {key} needs a value")))?;
-        flags.insert(key[2..].to_string(), value.clone());
-        i += 2;
+        Ok(Flags {
+            values,
+            read: RefCell::new(HashSet::new()),
+        })
     }
-    Ok(flags)
+
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.values.get(key)
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    fn path(&self, key: &str) -> Option<PathBuf> {
+        self.get(key).map(PathBuf::from)
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| CliError(format!("bad value for --{key}: {v:?}"))),
+        }
+    }
+
+    fn required(&self, key: &str) -> Result<String, CliError> {
+        self.get(key)
+            .cloned()
+            .ok_or_else(|| CliError(format!("missing required flag --{key}")))
+    }
+
+    /// Fails on the first (alphabetically) flag `command`'s parser never
+    /// read.
+    fn reject_unread(&self, command: &str) -> Result<(), CliError> {
+        let read = self.read.borrow();
+        match self.values.keys().filter(|k| !read.contains(*k)).min() {
+            None => Ok(()),
+            Some(k) => Err(CliError(format!("unknown flag --{k} for `ceps {command}`"))),
+        }
+    }
 }
 
 fn parse_query_type(s: &str) -> Result<QueryType, CliError> {
@@ -350,73 +394,44 @@ fn parse_query_type(s: &str) -> Result<QueryType, CliError> {
     }
 }
 
-fn parse_precision(flags: &HashMap<String, String>) -> Result<Precision, CliError> {
-    match flags.get("precision") {
-        None => Ok(Precision::F64),
-        Some(v) => Precision::parse(v)
-            .ok_or_else(|| CliError(format!("bad value for --precision: {v:?} (f64|f32)"))),
-    }
-}
-
-fn num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError(format!("bad value for --{key}: {v:?}"))),
-    }
-}
-
-fn required(flags: &HashMap<String, String>, key: &str) -> Result<String, CliError> {
-    flags
-        .get(key)
-        .cloned()
-        .ok_or_else(|| CliError(format!("missing required flag --{key}")))
-}
-
 /// Parses a full argument vector (without the program name).
+///
+/// Each subcommand fails on any flag its parser did not read, naming the
+/// flag and the subcommand.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "generate" => {
-            let flags = take_flags(rest)?;
+    let build: fn(&Flags) -> Result<Command, CliError> = match cmd.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "generate" => |flags| {
             Ok(Command::Generate {
                 scale: flags
                     .get("scale")
                     .cloned()
                     .unwrap_or_else(|| "small".into()),
-                seed: num(&flags, "seed", 0u64)?,
-                out: PathBuf::from(required(&flags, "out")?),
-                labels_out: flags.get("labels-out").map(PathBuf::from),
+                seed: flags.num("seed", 0u64)?,
+                out: PathBuf::from(flags.required("out")?),
+                labels_out: flags.path("labels-out"),
             })
-        }
-        "stats" => {
-            let flags = take_flags(rest)?;
+        },
+        "stats" => |flags| {
             Ok(Command::Stats {
-                graph: PathBuf::from(required(&flags, "graph")?),
+                graph: PathBuf::from(flags.required("graph")?),
             })
-        }
-        "query" => {
-            let flags = take_flags(rest)?;
+        },
+        "query" => |flags| {
             Ok(Command::Query {
-                graph: PathBuf::from(required(&flags, "graph")?),
-                labels: flags.get("labels").map(PathBuf::from),
-                queries: required(&flags, "queries")?,
+                graph: PathBuf::from(flags.required("graph")?),
+                labels: flags.path("labels"),
+                queries: flags.required("queries")?,
                 query_type: parse_query_type(
                     flags.get("type").map(String::as_str).unwrap_or("and"),
                 )?,
-                budget: num(&flags, "budget", 20usize)?,
-                alpha: num(&flags, "alpha", 0.5f64)?,
-                dot: flags.get("dot").map(PathBuf::from),
-                json: flags.contains_key("json"),
+                budget: flags.num("budget", 20usize)?,
+                alpha: flags.num("alpha", 0.5f64)?,
+                dot: flags.path("dot"),
+                json: flags.has("json"),
                 push: flags
                     .get("push")
                     .map(|v| {
@@ -424,66 +439,62 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             .map_err(|_| CliError(format!("bad push threshold {v:?}")))
                     })
                     .transpose()?,
-                threads: num(&flags, "threads", 1usize)?,
-                precision: parse_precision(&flags)?,
-                profile: flags.contains_key("profile"),
-                profile_out: flags.get("profile-out").map(PathBuf::from),
+                threads: flags.num("threads", 1usize)?,
+                profile: flags.has("profile"),
+                profile_out: flags.path("profile-out"),
             })
-        }
-        "serve" => {
-            let flags = take_flags(rest)?;
-            let repeat: f64 = num(&flags, "repeat", 0.5f64)?;
+        },
+        "serve" => |flags| {
+            let repeat: f64 = flags.num("repeat", 0.5f64)?;
             if !(0.0..=1.0).contains(&repeat) {
                 return Err(CliError(format!("--repeat {repeat} must lie in [0, 1]")));
             }
-            let trace_sample: f64 = num(&flags, "trace-sample", 1.0f64)?;
+            let trace_sample: f64 = flags.num("trace-sample", 1.0f64)?;
             if !(0.0..=1.0).contains(&trace_sample) {
                 return Err(CliError(format!(
                     "--trace-sample {trace_sample} must lie in [0, 1]"
                 )));
             }
-            let metrics_interval_ms: u64 = num(&flags, "metrics-interval", 500u64)?;
+            let metrics_interval_ms: u64 = flags.num("metrics-interval", 500u64)?;
             if metrics_interval_ms == 0 {
                 return Err(CliError("--metrics-interval must be at least 1 ms".into()));
             }
-            let coalesce_batch: usize = num(&flags, "coalesce-batch", 32usize)?;
+            let coalesce_batch: usize = flags.num("coalesce-batch", 32usize)?;
             if coalesce_batch == 0 {
                 return Err(CliError("--coalesce-batch must be at least 1".into()));
             }
-            let warm_frac: f64 = num(&flags, "warm-frac", 0.0f64)?;
+            let warm_frac: f64 = flags.num("warm-frac", 0.0f64)?;
             if !(0.0..=1.0).contains(&warm_frac) {
                 return Err(CliError(format!(
                     "--warm-frac {warm_frac} must lie in [0, 1]"
                 )));
             }
             Ok(Command::Serve {
-                graph: PathBuf::from(required(&flags, "graph")?),
-                requests: num(&flags, "requests", 64usize)?,
-                queries_per: num(&flags, "queries-per", 3usize)?,
-                workers: num(&flags, "workers", 4usize)?,
+                graph: PathBuf::from(flags.required("graph")?),
+                requests: flags.num("requests", 64usize)?,
+                queries_per: flags.num("queries-per", 3usize)?,
+                workers: flags.num("workers", 4usize)?,
                 repeat,
-                budget: num(&flags, "budget", 20usize)?,
-                alpha: num(&flags, "alpha", 0.5f64)?,
-                cache_mb: num(&flags, "cache-mb", 64usize)?,
-                coalesce_us: num(&flags, "coalesce-us", 0u64)?,
+                budget: flags.num("budget", 20usize)?,
+                alpha: flags.num("alpha", 0.5f64)?,
+                cache_mb: flags.num("cache-mb", 64usize)?,
+                coalesce_us: flags.num("coalesce-us", 0u64)?,
                 coalesce_batch,
                 warm_frac,
-                seed: num(&flags, "seed", 0u64)?,
-                threads: num(&flags, "threads", 1usize)?,
-                precision: parse_precision(&flags)?,
-                json: flags.contains_key("json"),
-                profile: flags.contains_key("profile"),
-                profile_out: flags.get("profile-out").map(PathBuf::from),
-                metrics_out: flags.get("metrics-out").map(PathBuf::from),
+                seed: flags.num("seed", 0u64)?,
+                threads: flags.num("threads", 1usize)?,
+                json: flags.has("json"),
+                profile: flags.has("profile"),
+                profile_out: flags.path("profile-out"),
+                metrics_out: flags.path("metrics-out"),
                 metrics_interval_ms,
-                trace_out: flags.get("trace-out").map(PathBuf::from),
+                trace_out: flags.path("trace-out"),
                 trace_sample,
                 listen: flags.get("listen").cloned(),
-                flight_out: flags.get("flight-out").map(PathBuf::from),
+                flight_out: flags.path("flight-out"),
             })
-        }
-        "client" => {
-            let flags = take_flags(rest)?;
+        },
+        "client" => |flags| {
             let mut actions = Vec::new();
             if let Some(q) = flags.get("queries") {
                 actions.push(ClientAction::Query(q.clone()));
@@ -491,19 +502,19 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if let Some(q) = flags.get("autok") {
                 actions.push(ClientAction::AutoK(q.clone()));
             }
-            if flags.contains_key("stdin") {
+            if flags.has("stdin") {
                 actions.push(ClientAction::Stdin);
             }
-            if flags.contains_key("ping") {
+            if flags.has("ping") {
                 actions.push(ClientAction::Ping);
             }
-            if flags.contains_key("stats") {
+            if flags.has("stats") {
                 actions.push(ClientAction::Stats);
             }
-            if flags.contains_key("dump-flight") {
+            if flags.has("dump-flight") {
                 actions.push(ClientAction::DumpFlight);
             }
-            if flags.contains_key("shutdown") {
+            if flags.has("shutdown") {
                 actions.push(ClientAction::Shutdown);
             }
             let action = match actions.len() {
@@ -524,15 +535,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
             };
             Ok(Command::Client {
-                connect: required(&flags, "connect")?,
+                connect: flags.required("connect")?,
                 action,
-                json: flags.contains_key("json"),
-                timeout_ms: num(&flags, "timeout", 30_000u64)?,
-                trace_out: flags.get("trace-out").map(PathBuf::from),
+                json: flags.has("json"),
+                timeout_ms: flags.num("timeout", 30_000u64)?,
+                trace_out: flags.path("trace-out"),
             })
-        }
-        "loadgen" => {
-            let flags = take_flags(rest)?;
+        },
+        "loadgen" => |flags| {
             let arrival_str = flags
                 .get("arrival")
                 .map(String::as_str)
@@ -542,19 +552,19 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "bad value for --arrival: {arrival_str:?} (poisson|constant)"
                 ))
             })?;
-            let rps: f64 = num(&flags, "rps", 100.0f64)?;
+            let rps: f64 = flags.num("rps", 100.0f64)?;
             if rps <= 0.0 {
                 return Err(CliError(format!("--rps {rps} must be positive")));
             }
-            let duration_s: f64 = num(&flags, "duration", 10.0f64)?;
-            let warmup_s: f64 = num(&flags, "warmup", (duration_s / 5.0).min(2.0))?;
+            let duration_s: f64 = flags.num("duration", 10.0f64)?;
+            let warmup_s: f64 = flags.num("warmup", (duration_s / 5.0).min(2.0))?;
             if !(0.0..duration_s).contains(&warmup_s) {
                 return Err(CliError(format!(
                     "--warmup {warmup_s} must leave a measurement window inside \
                      --duration {duration_s}"
                 )));
             }
-            let repeat: f64 = num(&flags, "repeat", 0.3f64)?;
+            let repeat: f64 = flags.num("repeat", 0.3f64)?;
             if !(0.0..=1.0).contains(&repeat) {
                 return Err(CliError(format!("--repeat {repeat} must lie in [0, 1]")));
             }
@@ -562,65 +572,66 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mix = MixKind::parse(mix_str).ok_or_else(|| {
                 CliError(format!("bad value for --mix: {mix_str:?} (uniform|hubs)"))
             })?;
-            let pool_size: usize = num(&flags, "pool-size", DEFAULT_HOT_POOL)?;
+            let pool_size: usize = flags.num("pool-size", DEFAULT_HOT_POOL)?;
             if pool_size == 0 {
                 return Err(CliError("--pool-size must be at least 1".into()));
             }
             Ok(Command::Loadgen {
-                connect: required(&flags, "connect")?,
+                connect: flags.required("connect")?,
                 rps,
                 duration_s,
                 warmup_s,
                 arrival,
-                connections: num(&flags, "connections", 4usize)?,
-                queries_per: num(&flags, "queries-per", 3usize)?,
-                node_space: num(&flags, "nodes", 1000usize)?,
+                connections: flags.num("connections", 4usize)?,
+                queries_per: flags.num("queries-per", 3usize)?,
+                node_space: flags.num("nodes", 1000usize)?,
                 repeat,
                 mix,
                 pool_size,
-                seed: num(&flags, "seed", 42u64)?,
-                slo_p99_ms: num(&flags, "slo-p99-ms", 100.0f64)?,
-                max_error_rate: num(&flags, "max-error-rate", 0.01f64)?,
-                search: flags.contains_key("search"),
-                json: flags.contains_key("json"),
-                out: flags.get("out").map(PathBuf::from),
+                seed: flags.num("seed", 42u64)?,
+                slo_p99_ms: flags.num("slo-p99-ms", 100.0f64)?,
+                max_error_rate: flags.num("max-error-rate", 0.01f64)?,
+                search: flags.has("search"),
+                json: flags.has("json"),
+                out: flags.path("out"),
             })
-        }
-        "autok" => {
-            let flags = take_flags(rest)?;
+        },
+        "autok" => |flags| {
             Ok(Command::AutoK {
-                graph: PathBuf::from(required(&flags, "graph")?),
-                labels: flags.get("labels").map(PathBuf::from),
-                queries: required(&flags, "queries")?,
-                alpha: num(&flags, "alpha", 0.5f64)?,
-                threads: num(&flags, "threads", 1usize)?,
+                graph: PathBuf::from(flags.required("graph")?),
+                labels: flags.path("labels"),
+                queries: flags.required("queries")?,
+                alpha: flags.num("alpha", 0.5f64)?,
+                threads: flags.num("threads", 1usize)?,
             })
-        }
-        "import" => {
-            let flags = take_flags(rest)?;
+        },
+        "import" => |flags| {
             Ok(Command::Import {
-                pairs: PathBuf::from(required(&flags, "pairs")?),
-                out: PathBuf::from(required(&flags, "out")?),
-                labels_out: PathBuf::from(required(&flags, "labels-out")?),
+                pairs: PathBuf::from(flags.required("pairs")?),
+                out: PathBuf::from(flags.required("out")?),
+                labels_out: PathBuf::from(flags.required("labels-out")?),
             })
-        }
-        "partition" => {
-            let flags = take_flags(rest)?;
+        },
+        "partition" => |flags| {
             Ok(Command::Partition {
-                graph: PathBuf::from(required(&flags, "graph")?),
-                parts: num(&flags, "parts", 0usize).and_then(|p| {
+                graph: PathBuf::from(flags.required("graph")?),
+                parts: flags.num("parts", 0usize).and_then(|p| {
                     if p == 0 {
                         Err(CliError("missing or zero --parts".into()))
                     } else {
                         Ok(p)
                     }
                 })?,
-                seed: num(&flags, "seed", 0u64)?,
-                out: PathBuf::from(required(&flags, "out")?),
+                seed: flags.num("seed", 0u64)?,
+                out: PathBuf::from(flags.required("out")?),
             })
-        }
-        other => Err(CliError(format!("unknown command {other:?}\n{USAGE}"))),
-    }
+        },
+        other => return Err(CliError(format!("unknown command {other:?}\n{USAGE}"))),
+    };
+    let flags = Flags::new(&args[1..])?;
+    let command = build(&flags)?;
+    flags.reject_unread(cmd)?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -906,52 +917,66 @@ mod tests {
     }
 
     #[test]
-    fn precision_flag_parses_on_query_and_serve() {
-        let c = parse(&v(&["query", "--graph", "g", "--queries", "0,1"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Query {
-                precision: Precision::F64,
-                ..
-            }
-        ));
-        let c = parse(&v(&[
+    fn unknown_flags_fail_naming_the_flag_and_subcommand() {
+        let err = parse(&v(&[
             "query",
             "--graph",
             "g",
             "--queries",
-            "0,1",
-            "--precision",
-            "f32",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Query {
-                precision: Precision::F32,
-                ..
-            }
-        ));
-        let c = parse(&v(&["serve", "--graph", "g", "--precision", "f32"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                precision: Precision::F32,
-                ..
-            }
-        ));
-        assert!(parse(&v(&[
-            "query",
-            "--graph",
-            "g",
-            "--queries",
-            "0",
-            "--precision",
-            "f16"
+            "0,7",
+            "--budgett",
+            "3",
         ]))
         .unwrap_err()
-        .0
-        .contains("--precision"));
+        .0;
+        assert!(
+            err.contains("--budgett") && err.contains("ceps query"),
+            "{err}"
+        );
+        let err = parse(&v(&["serve", "--graph", "g", "--precision", "f32"]))
+            .unwrap_err()
+            .0;
+        assert!(
+            err.contains("--precision") && err.contains("ceps serve"),
+            "{err}"
+        );
+        // A boolean flag another subcommand takes is still unknown here.
+        let err = parse(&v(&["stats", "--graph", "g", "--json"]))
+            .unwrap_err()
+            .0;
+        assert!(
+            err.contains("--json") && err.contains("ceps stats"),
+            "{err}"
+        );
+        // The full flag set a benchmark passes to a wire server parses.
+        let c = parse(&v(&[
+            "serve",
+            "--graph",
+            "g",
+            "--listen",
+            "unix:///tmp/c.sock",
+            "--workers",
+            "2",
+            "--cache-mb",
+            "8",
+            "--coalesce-us",
+            "200",
+            "--warm-frac",
+            "0.5",
+            "--threads",
+            "1",
+            "--budget",
+            "20",
+            "--trace-out",
+            "t.jsonl",
+            "--trace-sample",
+            "1",
+            "--metrics-out",
+            "m.prom",
+            "--metrics-interval",
+            "100",
+        ]));
+        assert!(matches!(c, Ok(Command::Serve { .. })), "{c:?}");
     }
 
     #[test]

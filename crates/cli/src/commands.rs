@@ -38,7 +38,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             json,
             push,
             threads,
-            precision,
             profile,
             profile_out,
         } => query(
@@ -53,7 +52,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 json,
                 push,
                 threads,
-                precision,
                 profile,
                 profile_out,
             },
@@ -85,7 +83,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             warm_frac,
             seed,
             threads,
-            precision,
             json,
             profile,
             profile_out,
@@ -110,7 +107,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 warm_frac,
                 seed,
                 threads,
-                precision,
                 json,
                 profile,
                 profile_out,
@@ -293,7 +289,6 @@ struct QueryOptions {
     json: bool,
     push: Option<f64>,
     threads: usize,
-    precision: ceps_graph::Precision,
     profile: bool,
     profile_out: Option<std::path::PathBuf>,
 }
@@ -332,7 +327,6 @@ fn query(
         json,
         push,
         threads,
-        precision,
         profile,
         profile_out,
     } = opts;
@@ -345,8 +339,7 @@ fn query(
         .budget(budget)
         .query_type(query_type)
         .alpha(alpha)
-        .threads(threads)
-        .precision(precision);
+        .threads(threads);
     if let Some(epsilon) = push {
         cfg = cfg.push_scores(epsilon);
     }
@@ -517,7 +510,6 @@ struct ServeOptions {
     warm_frac: f64,
     seed: u64,
     threads: usize,
-    precision: ceps_graph::Precision,
     json: bool,
     profile: bool,
     profile_out: Option<std::path::PathBuf>,
@@ -589,8 +581,7 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
     let cfg = CepsConfig::default()
         .budget(opts.budget)
         .alpha(opts.alpha)
-        .threads(opts.threads)
-        .precision(opts.precision);
+        .threads(opts.threads);
     let engine = CepsEngine::new(graph, cfg)?;
     let mut builder = CepsServiceBuilder::new()
         .cache_bytes(opts.cache_mb << 20)
@@ -1383,7 +1374,6 @@ mod tests {
             json: false,
             push: None,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             profile: false,
             profile_out: None,
         })
@@ -1402,7 +1392,6 @@ mod tests {
             json: false,
             push: None,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             profile: false,
             profile_out: None,
         })
@@ -1426,7 +1415,6 @@ mod tests {
             json: true,
             push: None,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             profile: false,
             profile_out: None,
         })
@@ -1455,7 +1443,6 @@ mod tests {
             json: false,
             push: None,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             profile: true,
             profile_out: Some(profile_path.clone()),
         })
@@ -1504,7 +1491,6 @@ mod tests {
             json: false,
             push: None,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             profile: false,
             profile_out: None,
         })
@@ -1558,7 +1544,6 @@ mod tests {
             json: false,
             push: None,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             profile: false,
             profile_out: None,
         })
@@ -1585,7 +1570,6 @@ mod tests {
             warm_frac: 0.0,
             seed: 1,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             json: false,
             profile: false,
             profile_out: None,
@@ -1614,7 +1598,6 @@ mod tests {
             warm_frac: 0.0,
             seed: 1,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             json: true,
             profile: false,
             profile_out: None,
@@ -1660,7 +1643,6 @@ mod tests {
                     warm_frac: 0.0,
                     seed: 1,
                     threads: 1,
-                    precision: ceps_graph::Precision::F64,
                     json: false,
                     profile: false,
                     profile_out: None,
@@ -1755,7 +1737,6 @@ mod tests {
                     warm_frac: 0.0,
                     seed: 1,
                     threads: 1,
-                    precision: ceps_graph::Precision::F64,
                     json: false,
                     profile: false,
                     profile_out: None,
@@ -1856,7 +1837,6 @@ mod tests {
                     warm_frac: 0.0,
                     seed: 1,
                     threads: 1,
-                    precision: ceps_graph::Precision::F64,
                     json: false,
                     profile: false,
                     profile_out: None,
@@ -1967,7 +1947,6 @@ mod tests {
             warm_frac: 0.0,
             seed: 1,
             threads: 1,
-            precision: ceps_graph::Precision::F64,
             json: false,
             profile: false,
             profile_out: None,

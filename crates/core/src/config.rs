@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ceps_graph::{CsrGraph, Precision, Transition};
+use ceps_graph::{CsrGraph, Transition};
 use ceps_partition::{partition_graph, PartitionConfig};
 use ceps_pool::PoolHandle;
 use ceps_rwr::blockwise::BlockwiseRwr;
@@ -144,12 +144,6 @@ pub struct CepsConfig {
     /// column-stochastic `W̃`. Makes `r(i, j) = r(j, i)`; `alpha` is
     /// ignored when set.
     pub manifold_ranking: bool,
-    /// Storage precision of the normalized operator's coefficients.
-    /// [`Precision::F32`] halves the transition matrix's memory bandwidth
-    /// (accumulation stays in `f64`) at the cost of ~1e-7 relative rounding
-    /// per coefficient; the `experiments -- check` quality gate bounds the
-    /// end-to-end score drift.
-    pub precision: Precision,
 }
 
 impl Default for CepsConfig {
@@ -163,7 +157,6 @@ impl Default for CepsConfig {
             score_method: ScoreMethod::Iterative,
             combine_method: CombineMethod::MeetingProbability,
             manifold_ranking: false,
-            precision: Precision::F64,
         }
     }
 }
@@ -250,14 +243,6 @@ impl CepsConfig {
     /// Eq. 20).
     pub fn manifold(mut self) -> Self {
         self.manifold_ranking = true;
-        self
-    }
-
-    /// Sets the storage precision of the normalized operator
-    /// (`Precision::F32` halves its memory traffic; scores drift by at most
-    /// the coefficient rounding, bounded by the benchmark quality gate).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ceps_graph::{IntoSharedGraph, NodeId, Precision};
+use ceps_graph::{IntoSharedGraph, NodeId};
 use ceps_obs::TraceContext;
 use ceps_rwr::{
     row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceConfig, CoalesceStats,
@@ -166,7 +166,6 @@ pub struct CepsServiceBuilder {
     cache_bytes: usize,
     shards: Option<usize>,
     workers: usize,
-    precision: Option<Precision>,
     coalesce: CoalesceConfig,
 }
 
@@ -176,7 +175,6 @@ impl Default for CepsServiceBuilder {
             cache_bytes: DEFAULT_CACHE_BYTES,
             shards: None,
             workers: 1,
-            precision: None,
             coalesce: CoalesceConfig::default(),
         }
     }
@@ -184,7 +182,7 @@ impl Default for CepsServiceBuilder {
 
 impl CepsServiceBuilder {
     /// Starts from the defaults: a [`DEFAULT_CACHE_BYTES`] cache with the
-    /// default shard count, one worker, the engine's own precision.
+    /// default shard count, one worker.
     pub fn new() -> Self {
         Self::default()
     }
@@ -226,15 +224,6 @@ impl CepsServiceBuilder {
         self
     }
 
-    /// Overrides the operator storage precision when the builder also
-    /// builds the engine ([`CepsServiceBuilder::build_from_graph`]); a
-    /// pre-built engine passed to [`CepsServiceBuilder::build`] keeps its
-    /// own.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
-        self
-    }
-
     /// Wraps a pre-built engine.
     pub fn build(self, engine: CepsEngine) -> CepsService {
         let cache = if self.cache_bytes == 0 {
@@ -256,20 +245,15 @@ impl CepsServiceBuilder {
         }
     }
 
-    /// Builds the engine too (applying any
-    /// [`precision`](CepsServiceBuilder::precision) override to `config`),
-    /// then wraps it.
+    /// Builds the engine too, then wraps it.
     ///
     /// # Errors
     /// As in [`CepsEngine::new`].
     pub fn build_from_graph(
         self,
         graph: impl IntoSharedGraph,
-        mut config: CepsConfig,
+        config: CepsConfig,
     ) -> Result<CepsService> {
-        if let Some(p) = self.precision {
-            config = config.precision(p);
-        }
         let engine = CepsEngine::new(graph, config)?;
         Ok(self.build(engine))
     }
@@ -1167,9 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_workers_and_precision_pass_through() {
-        use ceps_graph::Precision;
-
+    fn builder_workers_pass_through() {
         assert_eq!(CepsServiceBuilder::new().build(engine()).workers(), 1);
         assert_eq!(
             CepsServiceBuilder::new()
@@ -1185,12 +1167,5 @@ mod tests {
                 .workers(),
             7
         );
-
-        let cfg = CepsConfig::default().budget(4).threads(1);
-        let service = CepsServiceBuilder::new()
-            .precision(Precision::F32)
-            .build_from_graph(ring(3, 5), cfg)
-            .unwrap();
-        assert_eq!(service.engine().config().precision, Precision::F32);
     }
 }

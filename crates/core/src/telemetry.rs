@@ -153,8 +153,9 @@ impl RequestTracer {
         self.written.load(Ordering::Relaxed)
     }
 
-    /// Deterministic head-sampling decision for a request id (splitmix64
-    /// mapped to `[0, 1)` against the rate).
+    /// Deterministic head-sampling decision for a request id (one
+    /// [`ceps_obs::splitmix64`] step from the id, mapped to `[0, 1)`
+    /// against the rate).
     fn head_sampled(&self, request_id: u64) -> bool {
         if self.sample_rate >= 1.0 {
             return true;
@@ -162,10 +163,8 @@ impl RequestTracer {
         if self.sample_rate <= 0.0 {
             return false;
         }
-        let mut z = request_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let mut state = request_id;
+        let z = ceps_obs::splitmix64(&mut state);
         ((z >> 11) as f64 / (1u64 << 53) as f64) < self.sample_rate
     }
 
@@ -336,6 +335,19 @@ pub(crate) mod tests {
         assert!(
             (800..=1200).contains(&kept),
             "~25% of 4000 expected, got {kept}"
+        );
+    }
+
+    #[test]
+    fn head_sampling_decisions_are_pinned_at_rate_one_half() {
+        // Golden values: a change of mixer would change which requests a
+        // `--trace-sample` run keeps.
+        let t = RequestTracer::new(Box::new(SharedBuf::default()), 0.5);
+        let ids = [0, 1, 2, 3, 4, 5, 6, 7, 42, 1000, 0xdead_beef, u64::MAX];
+        let picks: Vec<bool> = ids.iter().map(|&i| t.head_sampled(i)).collect();
+        assert_eq!(
+            picks,
+            [false, false, false, true, true, true, false, true, false, true, true, false]
         );
     }
 

@@ -40,13 +40,14 @@
 //! and its band index cost 9–25% more operator memory. Those operators fit
 //! in the host's last-level cache, so the extra band pass bought nothing.
 //!
-//! Coefficients may be stored as `f32` ([`Precision::F32`]), which halves
-//! the bandwidth of the coefficient array (targets/offsets are already
-//! `u32`). Accumulation always happens in `f64` — each stored coefficient
-//! is widened before the multiply-add — so the only error source is the
-//! one-time rounding of each coefficient (≤ 2⁻²⁴ relative). The
-//! `experiments -- check` quality gate bounds the end-to-end score
-//! deviation and requires identical EXTRACT output.
+//! Coefficients are stored as `f64` only. An opt-in `f32` storage once
+//! halved the coefficient array, at a score drift of up to 1e-5. On a
+//! 2-core host it did not pay: median `f32`/`f64` time per block product
+//! at widths 1/3/5/8 was 0.99/1.11/1.08/0.94 on the medium preset,
+//! 0.90/0.91/0.92/0.93 on large and 0.87/1.00/0.95/0.97 on paper, and a
+//! full three-query solve took 0.94, 0.88 and 1.09 of the `f64` time. The
+//! `f64` operators (2.1, 18.4 and 75.2 MB) already fit in the last-level
+//! cache, so halving the coefficients saved little bandwidth.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -73,200 +74,13 @@ pub enum Normalization {
     Symmetric,
 }
 
-/// Storage width of the transition coefficients.
-///
-/// Kernels always *accumulate* in `f64` regardless of storage; `F32` only
-/// changes how each coefficient is stored (and therefore how many bytes one
-/// SpMM sweep streams). See the module docs for the accuracy contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Precision {
-    /// Full-width `f64` coefficients (the default; bitwise-exact Eq. 5/10/20).
-    #[default]
-    F64,
-    /// Half-width `f32` coefficients: each stored value is the nearest-`f32`
-    /// rounding of the exact `f64` normalization result.
-    F32,
-}
-
-impl Precision {
-    /// Parses `"f64"` / `"f32"` (as accepted by the CLI `--precision` flag).
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s {
-            "f64" => Some(Precision::F64),
-            "f32" => Some(Precision::F32),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        })
-    }
-}
-
-/// A stored coefficient type the kernels can widen to `f64`.
-trait Coefficient: Copy {
-    fn widen(self) -> f64;
-}
-
-impl Coefficient for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-}
-
-impl Coefficient for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        f64::from(self)
-    }
-}
-
-/// Coefficient storage — one variant per [`Precision`].
-#[derive(Debug, Clone)]
-enum Coeffs {
-    F64(Vec<f64>),
-    F32(Vec<f32>),
-}
-
-impl Coeffs {
-    fn len(&self) -> usize {
-        match self {
-            Coeffs::F64(v) => v.len(),
-            Coeffs::F32(v) => v.len(),
-        }
-    }
-
-    /// The `i`-th coefficient widened to `f64`.
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            Coeffs::F64(v) => v[i],
-            Coeffs::F32(v) => f64::from(v[i]),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Coeffs::F64(v) => std::mem::size_of_val(v.as_slice()),
-            Coeffs::F32(v) => std::mem::size_of_val(v.as_slice()),
-        }
-    }
-
-    fn precision(&self) -> Precision {
-        match self {
-            Coeffs::F64(_) => Precision::F64,
-            Coeffs::F32(_) => Precision::F32,
-        }
-    }
-
-    fn view(&self, s: usize, e: usize) -> CoeffsView<'_> {
-        match self {
-            Coeffs::F64(v) => CoeffsView::F64(&v[s..e]),
-            Coeffs::F32(v) => CoeffsView::F32(&v[s..e]),
-        }
-    }
-}
-
-/// A borrowed slice of transition coefficients, independent of the storage
-/// [`Precision`]. Returned by [`Transition::row`]; values read out are
-/// always widened to `f64`.
-#[derive(Debug, Clone, Copy)]
-pub enum CoeffsView<'a> {
-    /// Full-width storage.
-    F64(&'a [f64]),
-    /// Half-width storage.
-    F32(&'a [f32]),
-}
-
-impl<'a> CoeffsView<'a> {
-    /// Number of coefficients in the slice.
-    pub fn len(&self) -> usize {
-        match self {
-            CoeffsView::F64(s) => s.len(),
-            CoeffsView::F32(s) => s.len(),
-        }
-    }
-
-    /// Whether the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th coefficient, widened to `f64`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn get(&self, i: usize) -> f64 {
-        match self {
-            CoeffsView::F64(s) => s[i],
-            CoeffsView::F32(s) => f64::from(s[i]),
-        }
-    }
-
-    /// Iterates the coefficients widened to `f64`.
-    pub fn iter(&self) -> CoeffsIter<'a> {
-        match self {
-            CoeffsView::F64(s) => CoeffsIter::F64(s.iter()),
-            CoeffsView::F32(s) => CoeffsIter::F32(s.iter()),
-        }
-    }
-
-    /// Collects the coefficients into an owned `Vec<f64>`.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.iter().collect()
-    }
-}
-
-impl<'a> IntoIterator for &CoeffsView<'a> {
-    type Item = f64;
-    type IntoIter = CoeffsIter<'a>;
-    fn into_iter(self) -> CoeffsIter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over a [`CoeffsView`], yielding `f64` regardless of storage.
-#[derive(Debug, Clone)]
-pub enum CoeffsIter<'a> {
-    /// Full-width storage.
-    F64(std::slice::Iter<'a, f64>),
-    /// Half-width storage.
-    F32(std::slice::Iter<'a, f32>),
-}
-
-impl Iterator for CoeffsIter<'_> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        match self {
-            CoeffsIter::F64(it) => it.next().copied(),
-            CoeffsIter::F32(it) => it.next().map(|&c| f64::from(c)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            CoeffsIter::F64(it) => it.size_hint(),
-            CoeffsIter::F32(it) => it.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for CoeffsIter<'_> {}
-
 /// `K`-column panel kernel: one pass over the full CSR arc list per row.
 /// Per column the arc order is exactly ascending-target order.
 #[allow(clippy::too_many_arguments)]
-fn panel<const K: usize, C: Coefficient>(
+fn panel<const K: usize>(
     offsets: &[u32],
     targets: &[u32],
-    coeffs: &[C],
+    coeffs: &[f64],
     x: &[f64],
     out: &mut [f64],
     cols: usize,
@@ -280,56 +94,10 @@ fn panel<const K: usize, C: Coefficient>(
         for (t, c) in targets[s..e].iter().zip(&coeffs[s..e]) {
             let xrow = &x[*t as usize * cols + first_col..];
             for (a, xv) in acc.iter_mut().zip(&xrow[..K]) {
-                *a += c.widen() * xv;
+                *a += c * xv;
             }
         }
         orow[first_col..first_col + K].copy_from_slice(&acc);
-    }
-}
-
-/// Block kernel over the rows covered by `out`, generic over coefficient
-/// storage. Narrow widths run as one const-generic panel whose
-/// accumulators live in registers; wider blocks sweep in 8-column panels.
-fn block_rows<C: Coefficient>(
-    offsets: &[u32],
-    targets: &[u32],
-    coeffs: &[C],
-    x: &[f64],
-    out: &mut [f64],
-    cols: usize,
-    first_row: usize,
-) {
-    debug_assert_eq!(out.len() % cols, 0);
-    macro_rules! p {
-        ($k:literal, $fc:expr) => {
-            panel::<$k, C>(offsets, targets, coeffs, x, out, cols, first_row, $fc)
-        };
-    }
-    match cols {
-        1 => p!(1, 0),
-        2 => p!(2, 0),
-        3 => p!(3, 0),
-        4 => p!(4, 0),
-        5 => p!(5, 0),
-        6 => p!(6, 0),
-        7 => p!(7, 0),
-        8 => p!(8, 0),
-        _ => {
-            let mut first_col = 0;
-            while first_col < cols {
-                match cols - first_col {
-                    1 => p!(1, first_col),
-                    2 => p!(2, first_col),
-                    3 => p!(3, first_col),
-                    4 => p!(4, first_col),
-                    5 => p!(5, first_col),
-                    6 => p!(6, first_col),
-                    7 => p!(7, first_col),
-                    _ => p!(8, first_col),
-                }
-                first_col += 8;
-            }
-        }
     }
 }
 
@@ -352,15 +120,11 @@ fn block_rows<C: Coefficient>(
 /// `coeff[arc u→v] = M[u, v]`: the coefficient that multiplies `x[v]` when
 /// accumulating the new value at `u`, so one matrix–vector product is a pure
 /// gather over each node's CSR slice (see [`Transition::apply`]).
-///
-/// Coefficients may be stored in `f32` — see the module docs and
-/// [`Transition::with_precision`]; that changes the operator's *values*
-/// only by the documented `f32` rounding.
 #[derive(Debug, Clone)]
 pub struct Transition {
     offsets: Vec<u32>,
     targets: Vec<u32>,
-    coeffs: Coeffs,
+    coeffs: Vec<f64>,
     kind: Normalization,
     node_count: usize,
 }
@@ -371,20 +135,10 @@ impl Transition {
     /// Isolated nodes get an all-zero column (the walk can never reach or
     /// leave them), which the stochastic invariant tolerates.
     pub fn new(graph: &CsrGraph, kind: Normalization) -> Self {
-        Self::with_precision(graph, kind, Precision::F64)
-    }
-
-    /// Normalizes `graph` according to `kind`, storing the coefficients at
-    /// `precision`.
-    pub fn with_precision(graph: &CsrGraph, kind: Normalization, precision: Precision) -> Self {
         let (offsets, targets, coeffs, kind) = match kind {
             Normalization::ColumnStochastic => raw_degree_penalized(graph, 0.0),
             Normalization::DegreePenalized { alpha } => raw_degree_penalized(graph, alpha),
             Normalization::Symmetric => raw_symmetric(graph),
-        };
-        let coeffs = match precision {
-            Precision::F64 => Coeffs::F64(coeffs),
-            Precision::F32 => Coeffs::F32(coeffs.iter().map(|&c| c as f32).collect()),
         };
         Transition {
             offsets,
@@ -400,18 +154,12 @@ impl Transition {
         self.kind
     }
 
-    /// The coefficient storage width.
-    pub fn precision(&self) -> Precision {
-        self.coeffs.precision()
-    }
-
     /// Bytes held by the operator's index and coefficient arrays (offsets,
-    /// targets and coefficients) — the number the `f32` memory story is
-    /// measured by.
+    /// targets and coefficients).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.offsets.as_slice())
             + std::mem::size_of_val(self.targets.as_slice())
-            + self.coeffs.bytes()
+            + std::mem::size_of_val(self.coeffs.as_slice())
     }
 
     /// Number of nodes (matrix dimension).
@@ -465,13 +213,42 @@ impl Transition {
     /// Block kernel over the row range `first_row ..`, writing into `out`
     /// (whose length selects how many rows are computed). Shared by
     /// [`Transition::apply`], [`Transition::apply_block`] and the row
-    /// chunks of [`Transition::par_apply_block`].
-    /// Dispatches on coefficient storage, then on panel width.
+    /// chunks of [`Transition::par_apply_block`]. Narrow widths run as one
+    /// const-generic panel whose accumulators live in registers; wider
+    /// blocks sweep in 8-column panels.
     fn apply_block_rows(&self, x: &[f64], out: &mut [f64], cols: usize, first_row: usize) {
-        let (o, t) = (&self.offsets, &self.targets);
-        match &self.coeffs {
-            Coeffs::F64(c) => block_rows(o, t, c, x, out, cols, first_row),
-            Coeffs::F32(c) => block_rows(o, t, c, x, out, cols, first_row),
+        debug_assert_eq!(out.len() % cols, 0);
+        let (o, t, c) = (&self.offsets, &self.targets, &self.coeffs);
+        macro_rules! p {
+            ($k:literal, $fc:expr) => {
+                panel::<$k>(o, t, c, x, out, cols, first_row, $fc)
+            };
+        }
+        match cols {
+            1 => p!(1, 0),
+            2 => p!(2, 0),
+            3 => p!(3, 0),
+            4 => p!(4, 0),
+            5 => p!(5, 0),
+            6 => p!(6, 0),
+            7 => p!(7, 0),
+            8 => p!(8, 0),
+            _ => {
+                let mut first_col = 0;
+                while first_col < cols {
+                    match cols - first_col {
+                        1 => p!(1, first_col),
+                        2 => p!(2, first_col),
+                        3 => p!(3, first_col),
+                        4 => p!(4, first_col),
+                        5 => p!(5, first_col),
+                        6 => p!(6, first_col),
+                        7 => p!(7, first_col),
+                        _ => p!(8, first_col),
+                    }
+                    first_col += 8;
+                }
+            }
         }
     }
 
@@ -602,9 +379,7 @@ impl Transition {
     /// The matrix entry `M[u, v]` (`W̃[u, v]` in the paper's notation — for
     /// the stochastic kinds, the probability of stepping `v → u`).
     ///
-    /// Used by the edge-score definition Eq. 15. `O(log deg(u))`. The value
-    /// is widened from storage, so in `f32` mode it carries the storage
-    /// rounding.
+    /// Used by the edge-score definition Eq. 15. `O(log deg(u))`.
     pub fn coeff(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let (s, e) = (
             self.offsets[u.index()] as usize,
@@ -613,19 +388,18 @@ impl Transition {
         self.targets[s..e]
             .binary_search(&v.0)
             .ok()
-            .map(|i| self.coeffs.get(s + i))
+            .map(|i| self.coeffs[s + i])
     }
 
     /// Out-neighborhood view used by solvers: ids and coefficients of row
-    /// `u`. The coefficient side is a [`CoeffsView`] so callers stay
-    /// agnostic of the storage [`Precision`].
+    /// `u`.
     #[inline]
-    pub fn row(&self, u: NodeId) -> (&[u32], CoeffsView<'_>) {
+    pub fn row(&self, u: NodeId) -> (&[u32], &[f64]) {
         let (s, e) = (
             self.offsets[u.index()] as usize,
             self.offsets[u.index() + 1] as usize,
         );
-        (&self.targets[s..e], self.coeffs.view(s, e))
+        (&self.targets[s..e], &self.coeffs[s..e])
     }
 
     /// Entries of column `v`: `(u, M[u, v])` for every structurally
@@ -651,8 +425,8 @@ impl Transition {
         let mut sums = vec![0f64; self.node_count];
         for u in 0..self.node_count {
             let (s, e) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for (i, t) in (s..e).zip(&self.targets[s..e]) {
-                sums[*t as usize] += self.coeffs.get(i);
+            for (t, c) in self.targets[s..e].iter().zip(&self.coeffs[s..e]) {
+                sums[*t as usize] += c;
             }
         }
         sums
@@ -665,8 +439,8 @@ impl Transition {
         let mut m = vec![vec![0f64; n]; n];
         for u in 0..n {
             let (s, e) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for (i, t) in (s..e).zip(&self.targets[s..e]) {
-                m[u][*t as usize] = self.coeffs.get(i);
+            for (t, c) in self.targets[s..e].iter().zip(&self.coeffs[s..e]) {
+                m[u][*t as usize] = *c;
             }
         }
         m
@@ -780,23 +554,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A ~60-node weighted graph whose rows reach far across the id space.
-    fn wide_graph() -> CsrGraph {
-        let n = 60u32;
-        let mut b = GraphBuilder::new();
-        for i in 0..n {
-            for step in [1u32, 7, 19, 33] {
-                let j = (i + step) % n;
-                let _ = b.add_edge(
-                    NodeId(i),
-                    NodeId(j),
-                    1.0 + (i % 5) as f64 + step as f64 / 3.0,
-                );
-            }
-        }
-        b.build().unwrap()
-    }
-
     #[test]
     fn column_stochastic_columns_sum_to_one() {
         let g = triangle_plus_tail();
@@ -897,36 +654,5 @@ mod tests {
         assert!((sums[0] - 1.0).abs() < 1e-12);
         assert!((sums[1] - 1.0).abs() < 1e-12);
         assert_eq!(sums[2], 0.0);
-    }
-
-    #[test]
-    fn f32_mode_tracks_f64_and_reports_precision() {
-        let g = wide_graph();
-        let kind = Normalization::DegreePenalized { alpha: 0.5 };
-        let full = Transition::new(&g, kind);
-        let lean = Transition::with_precision(&g, kind, Precision::F32);
-        assert_eq!(lean.precision(), Precision::F32);
-        assert!(lean.memory_bytes() < full.memory_bytes());
-        // Every coefficient is within one f32 rounding of the exact value,
-        // and the accessors agree with the kernels.
-        for u in g.nodes() {
-            let (ids, cs) = lean.row(u);
-            assert_eq!(ids.len(), cs.len());
-            for (i, &v) in ids.iter().enumerate() {
-                let exact = full.coeff(u, NodeId(v)).unwrap();
-                let stored = cs.get(i);
-                assert_eq!(stored, lean.coeff(u, NodeId(v)).unwrap());
-                assert!((stored - exact).abs() <= exact.abs() * 1e-6);
-            }
-        }
-        let n = g.node_count();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) / 17.0).collect();
-        let mut a = vec![0f64; n];
-        let mut b = vec![0f64; n];
-        full.apply(&x, &mut a);
-        lean.apply(&x, &mut b);
-        for (p, q) in a.iter().zip(&b) {
-            assert!((p - q).abs() < 1e-6, "f32 apply drifted: {p} vs {q}");
-        }
     }
 }

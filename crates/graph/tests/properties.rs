@@ -6,7 +6,7 @@ use ceps_graph::{
     algo::{connected_components, dijkstra, hop_distances},
     io::{read_edge_list, write_edge_list},
     normalize::{Normalization, Transition},
-    GraphBuilder, NodeId, Precision, Subgraph,
+    GraphBuilder, NodeId, Subgraph,
 };
 use proptest::prelude::*;
 
@@ -137,9 +137,8 @@ proptest! {
 
     /// Pooled row-chunking never changes the output: `par_apply_block`
     /// over a persistent worker pool equals `apply_block` bitwise across
-    /// thread counts {1, 2, 3, 8}, widths {1, 2, 5} and both storage
-    /// precisions (each row is computed by exactly one worker, same inner
-    /// loop). The pool's `min_work` is forced to 0 so tiny random graphs
+    /// thread counts {1, 2, 3, 8} and widths {1, 2, 5} (each row is
+    /// computed by exactly one worker, same inner loop). The pool's `min_work` is forced to 0 so tiny random graphs
     /// still exercise the parallel path, and the pool is reused across both
     /// calls like the solver reuses it across iterations.
     #[test]
@@ -147,15 +146,12 @@ proptest! {
         (n, edges) in arb_edges(),
         cols_pick in 0usize..3,
         threads_pick in 0usize..4,
-        precision_pick in 0usize..2,
         fill in proptest::collection::vec(0.0f64..1.0, 24 * 5),
     ) {
         let cols = [1usize, 2, 5][cols_pick];
         let threads = [1usize, 2, 3, 8][threads_pick];
-        let precision = [Precision::F64, Precision::F32][precision_pick];
         let g = build(n, &edges);
-        let t = Transition::with_precision(&g, Normalization::ColumnStochastic, precision);
-        prop_assert_eq!(t.precision(), precision);
+        let t = Transition::new(&g, Normalization::ColumnStochastic);
         let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
         let x: Vec<f64> = fill[..n * cols].to_vec();
         let mut seq = vec![0f64; n * cols];

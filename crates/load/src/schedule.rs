@@ -10,19 +10,7 @@
 //! splitmix64, so the same seed reproduces the same schedule and the same
 //! query stream bit-for-bit.
 
-/// splitmix64 step: advances `state` and returns the next u64.
-///
-/// Same generator the rest of the workspace uses for seeding (datagen,
-/// telemetry head-sampling); small, fast, and passes BigCrush when used
-/// as a stream.
-#[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+pub use ceps_obs::splitmix64;
 
 /// Maps a u64 to a uniform f64 in `[0, 1)` using the top 53 bits.
 #[inline]

@@ -31,8 +31,12 @@ pub struct TraceContext {
     pub sampled: bool,
 }
 
-/// splitmix64 — the workspace's standard cheap mixer.
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64 step: advances `state` and returns the next u64 — the
+/// workspace's one cheap seeded mixer (trace ids, head sampling, load
+/// schedules, synthetic query streams). Small, fast, and passes BigCrush
+/// when used as a stream.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -55,8 +55,8 @@ mod snapshot;
 mod window;
 
 pub use context::{
-    current_trace, fresh_id, id_hex, parse_id_hex, set_current_trace, with_trace, TraceContext,
-    TraceGuard,
+    current_trace, fresh_id, id_hex, parse_id_hex, set_current_trace, splitmix64, with_trace,
+    TraceContext, TraceGuard,
 };
 pub use flight::{
     flight_disable, flight_dump, flight_dump_to, flight_enable, flight_enabled, flight_event,

@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use crate::context::current_trace;
 use crate::flight::{flight_event, FlightKind};
-use crate::snapshot::{BucketExemplar, HistogramStat, MetricsSnapshot, SpanStat};
+use crate::snapshot::{BucketExemplar, MetricsSnapshot, SpanStat};
+use crate::window::Histogram;
 
 /// Global on/off gate. The only cost instrumented code pays when
 /// observability is off is one relaxed load of this flag plus a branch.
@@ -79,27 +80,20 @@ impl Default for SpanAgg {
     }
 }
 
+/// A named registry histogram: the public [`Histogram`] plus its exemplars.
 #[derive(Debug, Clone)]
-struct Histogram {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: Vec<u64>,
+struct TracedHistogram {
+    hist: Histogram,
     /// Last contributing `(trace_id, value)` per bucket; `trace_id` 0
     /// means the bucket never saw a traced observation. A p99 spike in
     /// a high bucket thus names a concrete, dumpable request.
     exemplars: Vec<(u64, f64)>,
 }
 
-impl Default for Histogram {
+impl Default for TracedHistogram {
     fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: vec![0; HIST_BUCKETS],
+        TracedHistogram {
+            hist: Histogram::new(),
             exemplars: vec![(0, 0.0); HIST_BUCKETS],
         }
     }
@@ -125,7 +119,7 @@ struct Shard {
     spans: HashMap<String, SpanAgg>,
     counters: HashMap<&'static str, u64>,
     gauges: HashMap<&'static str, i64>,
-    histograms: HashMap<&'static str, Histogram>,
+    histograms: HashMap<&'static str, TracedHistogram>,
 }
 
 struct Registry {
@@ -178,17 +172,10 @@ impl Registry {
             .filter(|c| c.sampled)
             .map_or(0, |c| c.trace_id);
         let mut shard = self.shard(name.as_bytes());
-        let hist = shard.histograms.entry(name).or_default();
-        hist.count += 1;
-        if value.is_finite() {
-            hist.sum += value;
-            hist.min = hist.min.min(value);
-            hist.max = hist.max.max(value);
-        }
-        let bucket = bucket_index(value);
-        hist.buckets[bucket] += 1;
+        let traced = shard.histograms.entry(name).or_default();
+        traced.hist.record(value);
         if trace_id != 0 {
-            hist.exemplars[bucket] = (trace_id, value);
+            traced.exemplars[bucket_index(value)] = (trace_id, value);
         }
     }
 
@@ -225,15 +212,8 @@ impl Registry {
             for (&name, &value) in &shard.gauges {
                 gauges.push((name.to_string(), value));
             }
-            for (&name, hist) in &shard.histograms {
-                let buckets = hist
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(i, &c)| (bucket_upper(i), c))
-                    .collect();
-                let exemplars = hist
+            for (&name, traced) in &shard.histograms {
+                let exemplars = traced
                     .exemplars
                     .iter()
                     .enumerate()
@@ -244,15 +224,7 @@ impl Registry {
                         value,
                     })
                     .collect();
-                histograms.push(HistogramStat {
-                    name: name.to_string(),
-                    count: hist.count,
-                    sum: hist.sum,
-                    min: if hist.min.is_finite() { hist.min } else { 0.0 },
-                    max: if hist.max.is_finite() { hist.max } else { 0.0 },
-                    buckets,
-                    exemplars,
-                });
+                histograms.push(traced.hist.to_stat(name.to_string(), exemplars));
             }
         }
         spans.sort_by(|a, b| a.path.cmp(&b.path));

@@ -44,11 +44,12 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::context::id_hex;
 use crate::registry::{bucket_index, bucket_upper, HIST_BUCKETS};
-use crate::snapshot::{json_f64, json_str, BucketExemplar, MetricsSnapshot};
+use crate::snapshot::{json_f64, json_str, BucketExemplar, HistogramStat, MetricsSnapshot};
 
-/// A standalone fixed-bucket log₂ histogram over positive `f64` values,
-/// bucket-compatible with the registry's internal histograms (64 buckets
+/// A fixed-bucket log₂ histogram over positive `f64` values (64 buckets
 /// spanning `[2⁻³², 2³²)`, under-/overflow clamped to the edge buckets).
+/// The registry's named histograms are this type plus per-bucket
+/// exemplars.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     count: u64,
@@ -110,14 +111,31 @@ impl Histogram {
     /// Returns 0 when empty; `p <= 0` returns the minimum, `p >= 100` (and
     /// non-finite `p`) the maximum.
     pub fn percentile_from_buckets(&self, p: f64) -> f64 {
-        let sparse: Vec<(f64, u64)> = self
-            .buckets
+        estimate_percentile(&self.sparse_buckets(), self.count, self.min, self.max, p)
+    }
+
+    /// Non-empty buckets as `(exclusive upper bound, count)`, ascending.
+    fn sparse_buckets(&self) -> Vec<(f64, u64)> {
+        self.buckets
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_upper(i), c))
-            .collect();
-        estimate_percentile(&sparse, self.count, self.min, self.max, p)
+            .collect()
+    }
+
+    /// The snapshot form of this histogram under `name` (an empty
+    /// histogram reports `min`/`max` as 0).
+    pub(crate) fn to_stat(&self, name: String, exemplars: Vec<BucketExemplar>) -> HistogramStat {
+        HistogramStat {
+            name,
+            count: self.count,
+            sum: self.sum,
+            min: if self.min.is_finite() { self.min } else { 0.0 },
+            max: if self.max.is_finite() { self.max } else { 0.0 },
+            buckets: self.sparse_buckets(),
+            exemplars,
+        }
     }
 }
 

@@ -91,7 +91,7 @@ impl BlockwiseRwr {
             for (i, &v) in block.iter().enumerate() {
                 // Row v of M restricted to in-block columns.
                 let (ids, coeffs) = transition.row(NodeId(v));
-                for (u, m) in ids.iter().zip(coeffs.iter()) {
+                for (u, m) in ids.iter().zip(coeffs) {
                     let j = local[*u as usize];
                     if j != u32::MAX {
                         a[i * nb + j as usize] -= c * m;
