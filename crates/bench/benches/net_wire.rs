@@ -98,7 +98,6 @@ fn bench_net_wire(c: &mut Criterion) {
     }
     let service = CepsServiceBuilder::new()
         .cache_bytes(1 << 20)
-        .workers(1)
         .build_from_graph(b.build().unwrap(), CepsConfig::default().budget(2))
         .unwrap();
     let server = CepsServer::new(service, ServerConfig::default());

@@ -18,7 +18,7 @@
 //! * the full plain-arm **throughput-latency curve**, one row per probe;
 //! * the coalesced-arm curve, same schema.
 
-use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder, CoalesceConfig};
+use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder};
 use ceps_load::{
     capacity_search, ArrivalKind, CapacityCurve, LoadConfig, MixKind, SearchConfig, SloSpec,
     DEFAULT_HOT_POOL,
@@ -51,8 +51,6 @@ pub struct LoadgenParams {
     pub pool_size: usize,
     /// Coalescing window (µs) for the coalesced arm.
     pub coalesce_us: u64,
-    /// Max rows per coalesced solve.
-    pub coalesce_batch: usize,
     /// Fraction of the cache byte budget pre-filled by degree-weighted
     /// warming in the coalesced arm.
     pub warm_frac: f64,
@@ -85,7 +83,6 @@ impl Default for LoadgenParams {
             mix: MixKind::Hubs,
             pool_size: DEFAULT_HOT_POOL,
             coalesce_us: 200,
-            coalesce_batch: 32,
             warm_frac: 0.05,
             duration_s: 3.0,
             warmup_s: 0.5,
@@ -131,10 +128,7 @@ fn search_arm(
     let engine = CepsEngine::new(&workload.data.graph, cfg).unwrap();
     let mut builder = CepsServiceBuilder::new().cache_bytes(params.cache_bytes);
     if coalesced {
-        builder = builder.coalesce(CoalesceConfig {
-            window_us: params.coalesce_us,
-            max_batch: params.coalesce_batch,
-        });
+        builder = builder.coalesce_us(params.coalesce_us);
     }
     let service = builder.build(engine);
     if coalesced {

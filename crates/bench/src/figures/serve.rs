@@ -10,7 +10,7 @@
 //!   rows cold;
 //! * **cached** — a fresh bytes-budgeted row cache per repeat-rate row;
 //! * **coalesced** — the same cache plus the micro-batching coalescer
-//!   ([`ceps_core::CoalesceConfig`]) and a degree-weighted
+//!   ([`ceps_core::CepsServiceBuilder::coalesce_us`]) and a degree-weighted
 //!   [`warm`](ceps_core::CepsService::warm) pass before the stream starts
 //!   (warming is a startup cost by design and is excluded from the timed
 //!   window, like the equivalence probe that warms the cached arm).
@@ -25,7 +25,7 @@
 //! traffic. The runner asserts all arms return identical subgraphs on a
 //! sampled request, so no speedup is ever bought with wrong answers.
 
-use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder, CoalesceConfig};
+use ceps_core::{CepsConfig, CepsEngine, CepsServiceBuilder};
 use ceps_graph::NodeId;
 use rand::{Rng, SeedableRng};
 
@@ -53,8 +53,6 @@ pub struct ServeParams {
     pub seed: u64,
     /// Coalescing window (µs) for the coalesced arm.
     pub coalesce_us: u64,
-    /// Max rows per coalesced solve.
-    pub coalesce_batch: usize,
     /// Fraction of the cache byte budget pre-filled by degree-weighted
     /// warming in the coalesced arm.
     pub warm_frac: f64,
@@ -72,7 +70,6 @@ impl Default for ServeParams {
             alpha: 0.5,
             seed: 42,
             coalesce_us: 200,
-            coalesce_batch: 32,
             warm_frac: 0.05,
         }
     }
@@ -174,10 +171,7 @@ pub fn run(workload: &Workload, params: &ServeParams) -> (Table, Table) {
             .build(engine.clone());
         let coalesced = CepsServiceBuilder::new()
             .cache_bytes(params.cache_bytes)
-            .coalesce(CoalesceConfig {
-                window_us: params.coalesce_us,
-                max_batch: params.coalesce_batch,
-            })
+            .coalesce_us(params.coalesce_us)
             .build(engine.clone());
         // Startup warming (degree-weighted, budget-clamped) happens before
         // the timed window — like cache warmup via the equivalence probe.

@@ -6,202 +6,216 @@ use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 use ceps_core::QueryType;
-use ceps_load::{ArrivalKind, MixKind, DEFAULT_HOT_POOL};
+use ceps_load::{ArrivalKind, LoadConfig, MixKind, SloSpec, DEFAULT_HOT_POOL};
 
 use crate::CliError;
 
-/// A parsed CLI invocation.
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed CLI invocation: one variant per subcommand, each wrapping the
+/// options its command function takes.
+#[derive(Debug, Clone)]
 pub enum Command {
     /// `ceps generate` — write a synthetic co-authorship graph.
-    Generate {
-        /// Scale preset name.
-        scale: String,
-        /// Generator seed.
-        seed: u64,
-        /// Edge-list output path.
-        out: PathBuf,
-        /// Optional labels output path.
-        labels_out: Option<PathBuf>,
-    },
+    Generate(GenerateArgs),
     /// `ceps stats` — print basic graph statistics.
-    Stats {
-        /// Edge-list input path.
-        graph: PathBuf,
-    },
+    Stats(StatsArgs),
     /// `ceps query` — run a center-piece query.
-    Query {
-        /// Edge-list input path.
-        graph: PathBuf,
-        /// Optional labels file (one name per line, line i = node i).
-        labels: Option<PathBuf>,
-        /// Comma-separated query nodes (names if labels given, else ids).
-        queries: String,
-        /// Query type.
-        query_type: QueryType,
-        /// Budget `b`.
-        budget: usize,
-        /// Normalization exponent `α`.
-        alpha: f64,
-        /// Optional DOT output path.
-        dot: Option<PathBuf>,
-        /// Emit JSON instead of text.
-        json: bool,
-        /// Forward-push threshold (None = power iteration).
-        push: Option<f64>,
-        /// RWR worker threads (`0` = auto: all available cores).
-        threads: usize,
-        /// Record per-stage spans/counters and print the profile tree.
-        profile: bool,
-        /// Where to write the `ceps-obs/v1` snapshot (default
-        /// `results/OBS_profile.json`); only used with `--profile`.
-        profile_out: Option<PathBuf>,
-    },
+    Query(QueryArgs),
     /// `ceps partition` — k-way partition a graph.
-    Partition {
-        /// Edge-list input path.
-        graph: PathBuf,
-        /// Number of parts.
-        parts: usize,
-        /// Seed.
-        seed: u64,
-        /// Output path for `node part` lines.
-        out: PathBuf,
-    },
+    Partition(PartitionArgs),
     /// `ceps serve` — replay a synthetic query stream through a
     /// [`ceps_core::CepsService`] and report throughput + cache behaviour.
-    Serve {
-        /// Edge-list input path.
-        graph: PathBuf,
-        /// Number of query sets to serve.
-        requests: usize,
-        /// Query nodes per request.
-        queries_per: usize,
-        /// Worker threads serving the stream.
-        workers: usize,
-        /// Probability a query node is drawn from the hot (hub) pool.
-        repeat: f64,
-        /// Budget `b`.
-        budget: usize,
-        /// Normalization exponent `α`.
-        alpha: f64,
-        /// Row-cache budget in MiB (0 disables the cache).
-        cache_mb: usize,
-        /// Micro-batching coalescing window in microseconds (0 = off).
-        coalesce_us: u64,
-        /// Max RWR rows per coalesced solve.
-        coalesce_batch: usize,
-        /// Fraction of the cache byte budget pre-filled at startup by
-        /// degree-weighted warming (0 = no warming).
-        warm_frac: f64,
-        /// Stream seed.
-        seed: u64,
-        /// RWR worker threads per solve (`0` = auto).
-        threads: usize,
-        /// Emit JSON instead of text.
-        json: bool,
-        /// Record per-stage spans/counters and print the profile tree.
-        profile: bool,
-        /// Where to write the `ceps-obs/v1` snapshot (default
-        /// `results/OBS_profile.json`); only used with `--profile`.
-        profile_out: Option<PathBuf>,
-        /// Where to write the live Prometheus exposition file; enables the
-        /// background metrics exporter (a `.jsonl` event stream is written
-        /// next to it).
-        metrics_out: Option<PathBuf>,
-        /// Exporter flush interval in milliseconds.
-        metrics_interval_ms: u64,
-        /// Where to write sampled `ceps-trace/v1` request traces; enables
-        /// per-request tracing.
-        trace_out: Option<PathBuf>,
-        /// Head-sampling rate for traces, in `[0, 1]`.
-        trace_sample: f64,
-        /// Listen address (`tcp://host:port`, `unix:///path`, `host:port`
-        /// or a socket path). When set, `serve` runs a long-lived
-        /// `ceps-wire/v1` server instead of replaying a synthetic stream.
-        listen: Option<String>,
-        /// Where to write the flight-recorder ring (`ceps-flight/v1`
-        /// JSONL) when the server drains or panics; enables the recorder.
-        flight_out: Option<PathBuf>,
-    },
+    Serve(ServeArgs),
     /// `ceps client` — talk `ceps-wire/v1` to a running `serve --listen`.
-    Client {
-        /// Server address (same grammar as `--listen`).
-        connect: String,
-        /// What to ask the server.
-        action: ClientAction,
-        /// Emit JSON instead of text.
-        json: bool,
-        /// Reply deadline in milliseconds (`0` waits forever).
-        timeout_ms: u64,
-        /// Where to write client-side `ceps-trace/v1` lines (one per
-        /// query reply); enables end-to-end trace propagation.
-        trace_out: Option<PathBuf>,
-    },
+    Client(ClientArgs),
     /// `ceps loadgen` — open-loop load generation against a running
     /// `serve --listen`, with coordinated-omission-free latency and an
     /// optional SLO capacity search.
-    Loadgen {
-        /// Server address (same grammar as `--listen`).
-        connect: String,
-        /// Offered request rate (requests/second across all connections).
-        rps: f64,
-        /// Run length in seconds, warmup included.
-        duration_s: f64,
-        /// Leading seconds excluded from the measurement phase.
-        warmup_s: f64,
-        /// Arrival process.
-        arrival: ArrivalKind,
-        /// Concurrent client connections.
-        connections: usize,
-        /// Query nodes per request.
-        queries_per: usize,
-        /// Node ids are drawn from `0..nodes`.
-        node_space: usize,
-        /// Probability a request repeats an earlier query verbatim.
-        repeat: f64,
-        /// Node sampling of fresh queries (uniform vs hub-skewed).
-        mix: MixKind,
-        /// Hot-pool width for the hub-skewed mix.
-        pool_size: usize,
-        /// Schedule/query-mix seed.
-        seed: u64,
-        /// SLO: measurement-phase p99 bound in milliseconds.
-        slo_p99_ms: f64,
-        /// SLO: max sheds+errors fraction.
-        max_error_rate: f64,
-        /// Run the capacity search instead of a single fixed-rate run.
-        search: bool,
-        /// Emit JSON instead of text.
-        json: bool,
-        /// Also write the JSON report/curve to this path.
-        out: Option<PathBuf>,
-    },
+    Loadgen(LoadgenArgs),
     /// `ceps autok` — infer the softAND coefficient for a query set.
-    AutoK {
-        /// Edge-list input path.
-        graph: PathBuf,
-        /// Optional labels file.
-        labels: Option<PathBuf>,
-        /// Comma-separated query nodes.
-        queries: String,
-        /// Normalization exponent.
-        alpha: f64,
-        /// Worker threads for the RWR solves (`0` = auto).
-        threads: usize,
-    },
+    AutoK(AutoKArgs),
     /// `ceps import` — convert tab-separated co-author pairs to the
     /// edge-list + labels formats.
-    Import {
-        /// Co-author pairs input path.
-        pairs: PathBuf,
-        /// Edge-list output path.
-        out: PathBuf,
-        /// Labels output path.
-        labels_out: PathBuf,
-    },
+    Import(ImportArgs),
     /// `ceps help` / no args.
     Help,
+}
+
+/// Options of `ceps generate`.
+#[derive(Debug, Clone)]
+pub struct GenerateArgs {
+    /// Scale preset name.
+    pub scale: String,
+    /// Generator seed.
+    pub seed: u64,
+    /// Edge-list output path.
+    pub out: PathBuf,
+    /// Optional labels output path.
+    pub labels_out: Option<PathBuf>,
+}
+
+/// Options of `ceps stats`.
+#[derive(Debug, Clone)]
+pub struct StatsArgs {
+    /// Edge-list input path.
+    pub graph: PathBuf,
+}
+
+/// Options of `ceps query`.
+#[derive(Debug, Clone)]
+pub struct QueryArgs {
+    /// Edge-list input path.
+    pub graph: PathBuf,
+    /// Optional labels file (one name per line, line i = node i).
+    pub labels: Option<PathBuf>,
+    /// Comma-separated query nodes (names if labels given, else ids).
+    pub queries: String,
+    /// Query type.
+    pub query_type: QueryType,
+    /// Budget `b`.
+    pub budget: usize,
+    /// Normalization exponent `α`.
+    pub alpha: f64,
+    /// Optional DOT output path.
+    pub dot: Option<PathBuf>,
+    /// Emit JSON instead of text.
+    pub json: bool,
+    /// Forward-push threshold (None = power iteration).
+    pub push: Option<f64>,
+    /// RWR worker threads (`0` = auto: all available cores).
+    pub threads: usize,
+    /// Record per-stage spans/counters and print the profile tree.
+    pub profile: bool,
+    /// Where to write the `ceps-obs/v1` snapshot (default
+    /// `results/OBS_profile.json`); only used with `--profile`.
+    pub profile_out: Option<PathBuf>,
+}
+
+/// Options of `ceps partition`.
+#[derive(Debug, Clone)]
+pub struct PartitionArgs {
+    /// Edge-list input path.
+    pub graph: PathBuf,
+    /// Number of parts.
+    pub parts: usize,
+    /// Seed.
+    pub seed: u64,
+    /// Output path for `node part` lines.
+    pub out: PathBuf,
+}
+
+/// Options of `ceps serve`.
+#[derive(Debug, Clone)]
+pub struct ServeArgs {
+    /// Edge-list input path.
+    pub graph: PathBuf,
+    /// Number of query sets to serve.
+    pub requests: usize,
+    /// Query nodes per request.
+    pub queries_per: usize,
+    /// Worker threads serving the stream or the wire connections.
+    pub workers: usize,
+    /// Probability a query node is drawn from the hot (hub) pool.
+    pub repeat: f64,
+    /// Budget `b`.
+    pub budget: usize,
+    /// Normalization exponent `α`.
+    pub alpha: f64,
+    /// Row-cache budget in MiB (0 disables the cache).
+    pub cache_mb: usize,
+    /// Micro-batching coalescing window in microseconds (0 = off).
+    pub coalesce_us: u64,
+    /// Fraction of the cache byte budget pre-filled at startup by
+    /// degree-weighted warming (0 = no warming).
+    pub warm_frac: f64,
+    /// Stream seed.
+    pub seed: u64,
+    /// RWR worker threads per solve (`0` = auto).
+    pub threads: usize,
+    /// Emit JSON instead of text.
+    pub json: bool,
+    /// Record per-stage spans/counters and print the profile tree.
+    pub profile: bool,
+    /// Where to write the `ceps-obs/v1` snapshot (default
+    /// `results/OBS_profile.json`); only used with `--profile`.
+    pub profile_out: Option<PathBuf>,
+    /// Where to write the live Prometheus exposition file; enables the
+    /// background metrics exporter (a `.jsonl` event stream is written
+    /// next to it).
+    pub metrics_out: Option<PathBuf>,
+    /// Exporter flush interval in milliseconds.
+    pub metrics_interval_ms: u64,
+    /// Where to write sampled `ceps-trace/v1` request traces; enables
+    /// per-request tracing.
+    pub trace_out: Option<PathBuf>,
+    /// Head-sampling rate for traces, in `[0, 1]`.
+    pub trace_sample: f64,
+    /// Listen address (`tcp://host:port`, `unix:///path`, `host:port`
+    /// or a socket path). When set, `serve` runs a long-lived
+    /// `ceps-wire/v1` server instead of replaying a synthetic stream.
+    pub listen: Option<String>,
+    /// Where to write the flight-recorder ring (`ceps-flight/v1`
+    /// JSONL) when the server drains or panics; enables the recorder.
+    pub flight_out: Option<PathBuf>,
+}
+
+/// Options of `ceps client`.
+#[derive(Debug, Clone)]
+pub struct ClientArgs {
+    /// Server address (same grammar as `--listen`).
+    pub connect: String,
+    /// What to ask the server.
+    pub action: ClientAction,
+    /// Emit JSON instead of text.
+    pub json: bool,
+    /// Reply deadline in milliseconds (`0` waits forever).
+    pub timeout_ms: u64,
+    /// Where to write client-side `ceps-trace/v1` lines (one per
+    /// query reply); enables end-to-end trace propagation.
+    pub trace_out: Option<PathBuf>,
+}
+
+/// Options of `ceps loadgen`.
+#[derive(Debug, Clone)]
+pub struct LoadgenArgs {
+    /// Server address (same grammar as `--listen`).
+    pub connect: String,
+    /// The open-loop run: rate, duration, arrivals, connections and
+    /// query mix.
+    pub load: LoadConfig,
+    /// The SLO a run is judged against.
+    pub slo: SloSpec,
+    /// Run the capacity search instead of a single fixed-rate run.
+    pub search: bool,
+    /// Emit JSON instead of text.
+    pub json: bool,
+    /// Also write the JSON report/curve to this path.
+    pub out: Option<PathBuf>,
+}
+
+/// Options of `ceps autok`.
+#[derive(Debug, Clone)]
+pub struct AutoKArgs {
+    /// Edge-list input path.
+    pub graph: PathBuf,
+    /// Optional labels file.
+    pub labels: Option<PathBuf>,
+    /// Comma-separated query nodes.
+    pub queries: String,
+    /// Normalization exponent.
+    pub alpha: f64,
+    /// Worker threads for the RWR solves (`0` = auto).
+    pub threads: usize,
+}
+
+/// Options of `ceps import`.
+#[derive(Debug, Clone)]
+pub struct ImportArgs {
+    /// Co-author pairs input path.
+    pub pairs: PathBuf,
+    /// Edge-list output path.
+    pub out: PathBuf,
+    /// Labels output path.
+    pub labels_out: PathBuf,
 }
 
 /// What a `ceps client` invocation asks the server to do.
@@ -236,7 +250,7 @@ USAGE:
                 [--profile] [--profile-out FILE]
   ceps serve    --graph FILE [--requests N] [--queries-per Q] [--workers W]
                 [--repeat R] [--budget N] [--alpha A] [--cache-mb M]
-                [--coalesce-us U] [--coalesce-batch N] [--warm-frac F]
+                [--coalesce-us U] [--warm-frac F]
                 [--seed N] [--threads N] [--json]
                 [--profile] [--profile-out FILE]
                 [--metrics-out FILE.prom] [--metrics-interval MS]
@@ -270,7 +284,7 @@ USAGE:
   byte-identical to the in-process API's results.
 
   serve --coalesce-us U holds cache misses in a bounded micro-batching
-  window (U microseconds, --coalesce-batch rows max) so concurrent
+  window (U microseconds, drained early at 32 pooled rows) so concurrent
   requests missing overlapping RWR rows share one wide solve; 0 (the
   default) disables coalescing. --warm-frac F pre-solves the top-degree
   rows into the cache at startup, up to F of the cache byte budget.
@@ -326,6 +340,7 @@ impl Flags {
             }
             let value = args
                 .get(i + 1)
+                .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| CliError(format!("flag {key} needs a value")))?;
             values.insert(key[2..].to_string(), value.clone());
             i += 2;
@@ -405,7 +420,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let build: fn(&Flags) -> Result<Command, CliError> = match cmd.as_str() {
         "help" | "--help" | "-h" => return Ok(Command::Help),
         "generate" => |flags| {
-            Ok(Command::Generate {
+            Ok(Command::Generate(GenerateArgs {
                 scale: flags
                     .get("scale")
                     .cloned()
@@ -413,15 +428,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 seed: flags.num("seed", 0u64)?,
                 out: PathBuf::from(flags.required("out")?),
                 labels_out: flags.path("labels-out"),
-            })
+            }))
         },
         "stats" => |flags| {
-            Ok(Command::Stats {
+            Ok(Command::Stats(StatsArgs {
                 graph: PathBuf::from(flags.required("graph")?),
-            })
+            }))
         },
         "query" => |flags| {
-            Ok(Command::Query {
+            Ok(Command::Query(QueryArgs {
                 graph: PathBuf::from(flags.required("graph")?),
                 labels: flags.path("labels"),
                 queries: flags.required("queries")?,
@@ -442,7 +457,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 threads: flags.num("threads", 1usize)?,
                 profile: flags.has("profile"),
                 profile_out: flags.path("profile-out"),
-            })
+            }))
         },
         "serve" => |flags| {
             let repeat: f64 = flags.num("repeat", 0.5f64)?;
@@ -459,17 +474,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if metrics_interval_ms == 0 {
                 return Err(CliError("--metrics-interval must be at least 1 ms".into()));
             }
-            let coalesce_batch: usize = flags.num("coalesce-batch", 32usize)?;
-            if coalesce_batch == 0 {
-                return Err(CliError("--coalesce-batch must be at least 1".into()));
-            }
             let warm_frac: f64 = flags.num("warm-frac", 0.0f64)?;
             if !(0.0..=1.0).contains(&warm_frac) {
                 return Err(CliError(format!(
                     "--warm-frac {warm_frac} must lie in [0, 1]"
                 )));
             }
-            Ok(Command::Serve {
+            Ok(Command::Serve(ServeArgs {
                 graph: PathBuf::from(flags.required("graph")?),
                 requests: flags.num("requests", 64usize)?,
                 queries_per: flags.num("queries-per", 3usize)?,
@@ -479,7 +490,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 alpha: flags.num("alpha", 0.5f64)?,
                 cache_mb: flags.num("cache-mb", 64usize)?,
                 coalesce_us: flags.num("coalesce-us", 0u64)?,
-                coalesce_batch,
                 warm_frac,
                 seed: flags.num("seed", 0u64)?,
                 threads: flags.num("threads", 1usize)?,
@@ -492,7 +502,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 trace_sample,
                 listen: flags.get("listen").cloned(),
                 flight_out: flags.path("flight-out"),
-            })
+            }))
         },
         "client" => |flags| {
             let mut actions = Vec::new();
@@ -534,13 +544,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     ))
                 }
             };
-            Ok(Command::Client {
+            Ok(Command::Client(ClientArgs {
                 connect: flags.required("connect")?,
                 action,
                 json: flags.has("json"),
                 timeout_ms: flags.num("timeout", 30_000u64)?,
                 trace_out: flags.path("trace-out"),
-            })
+            }))
         },
         "loadgen" => |flags| {
             let arrival_str = flags
@@ -576,44 +586,48 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if pool_size == 0 {
                 return Err(CliError("--pool-size must be at least 1".into()));
             }
-            Ok(Command::Loadgen {
+            Ok(Command::Loadgen(LoadgenArgs {
                 connect: flags.required("connect")?,
-                rps,
-                duration_s,
-                warmup_s,
-                arrival,
-                connections: flags.num("connections", 4usize)?,
-                queries_per: flags.num("queries-per", 3usize)?,
-                node_space: flags.num("nodes", 1000usize)?,
-                repeat,
-                mix,
-                pool_size,
-                seed: flags.num("seed", 42u64)?,
-                slo_p99_ms: flags.num("slo-p99-ms", 100.0f64)?,
-                max_error_rate: flags.num("max-error-rate", 0.01f64)?,
+                load: LoadConfig {
+                    rps,
+                    duration_s,
+                    warmup_s,
+                    arrival,
+                    connections: flags.num("connections", 4usize)?,
+                    queries_per: flags.num("queries-per", 3usize)?,
+                    node_space: flags.num("nodes", 1000usize)?,
+                    repeat,
+                    mix,
+                    pool_size,
+                    seed: flags.num("seed", 42u64)?,
+                },
+                slo: SloSpec {
+                    p99_ms: flags.num("slo-p99-ms", 100.0f64)?,
+                    max_error_rate: flags.num("max-error-rate", 0.01f64)?,
+                },
                 search: flags.has("search"),
                 json: flags.has("json"),
                 out: flags.path("out"),
-            })
+            }))
         },
         "autok" => |flags| {
-            Ok(Command::AutoK {
+            Ok(Command::AutoK(AutoKArgs {
                 graph: PathBuf::from(flags.required("graph")?),
                 labels: flags.path("labels"),
                 queries: flags.required("queries")?,
                 alpha: flags.num("alpha", 0.5f64)?,
                 threads: flags.num("threads", 1usize)?,
-            })
+            }))
         },
         "import" => |flags| {
-            Ok(Command::Import {
+            Ok(Command::Import(ImportArgs {
                 pairs: PathBuf::from(flags.required("pairs")?),
                 out: PathBuf::from(flags.required("out")?),
                 labels_out: PathBuf::from(flags.required("labels-out")?),
-            })
+            }))
         },
         "partition" => |flags| {
-            Ok(Command::Partition {
+            Ok(Command::Partition(PartitionArgs {
                 graph: PathBuf::from(flags.required("graph")?),
                 parts: flags.num("parts", 0usize).and_then(|p| {
                     if p == 0 {
@@ -624,7 +638,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 })?,
                 seed: flags.num("seed", 0u64)?,
                 out: PathBuf::from(flags.required("out")?),
-            })
+            }))
         },
         other => return Err(CliError(format!("unknown command {other:?}\n{USAGE}"))),
     };
@@ -642,31 +656,69 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse_ok(args: &[&str]) -> Command {
+        parse(&v(args)).unwrap()
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        parse(&v(args)).unwrap_err().0
+    }
+
+    fn serve(args: &[&str]) -> ServeArgs {
+        let mut full = vec!["serve", "--graph", "g"];
+        full.extend_from_slice(args);
+        match parse_ok(&full) {
+            Command::Serve(a) => a,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn query(args: &[&str]) -> QueryArgs {
+        let mut full = vec!["query", "--graph", "g", "--queries", "0,1"];
+        full.extend_from_slice(args);
+        match parse_ok(&full) {
+            Command::Query(a) => a,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn client(args: &[&str]) -> ClientArgs {
+        let mut full = vec!["client", "--connect", "a"];
+        full.extend_from_slice(args);
+        match parse_ok(&full) {
+            Command::Client(a) => a,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn loadgen(args: &[&str]) -> LoadgenArgs {
+        let mut full = vec!["loadgen", "--connect", "a"];
+        full.extend_from_slice(args);
+        match parse_ok(&full) {
+            Command::Loadgen(a) => a,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn empty_and_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&v(&["help"])).unwrap(), Command::Help);
-        assert_eq!(parse(&v(&["--help"])).unwrap(), Command::Help);
+        assert!(matches!(parse(&[]).unwrap(), Command::Help));
+        assert!(matches!(parse_ok(&["help"]), Command::Help));
+        assert!(matches!(parse_ok(&["--help"]), Command::Help));
     }
 
     #[test]
     fn generate_defaults_and_overrides() {
-        let c = parse(&v(&["generate", "--out", "g.txt"])).unwrap();
-        match c {
-            Command::Generate {
-                scale,
-                seed,
-                out,
-                labels_out,
-            } => {
-                assert_eq!(scale, "small");
-                assert_eq!(seed, 0);
-                assert_eq!(out, PathBuf::from("g.txt"));
-                assert!(labels_out.is_none());
+        match parse_ok(&["generate", "--out", "g.txt"]) {
+            Command::Generate(a) => {
+                assert_eq!(a.scale, "small");
+                assert_eq!(a.seed, 0);
+                assert_eq!(a.out, PathBuf::from("g.txt"));
+                assert!(a.labels_out.is_none());
             }
             other => panic!("{other:?}"),
         }
-        let c = parse(&v(&[
+        let c = parse_ok(&[
             "generate",
             "--scale",
             "tiny",
@@ -676,207 +728,67 @@ mod tests {
             "g",
             "--labels-out",
             "l",
-        ]))
-        .unwrap();
-        assert!(matches!(c, Command::Generate { seed: 9, .. }));
+        ]);
+        assert!(matches!(c, Command::Generate(GenerateArgs { seed: 9, .. })));
     }
 
     #[test]
     fn query_parses_types() {
-        let base = ["query", "--graph", "g", "--queries", "0,1"];
-        let c = parse(&v(&base)).unwrap();
-        assert!(matches!(
-            c,
-            Command::Query {
-                query_type: QueryType::And,
-                budget: 20,
-                ..
-            }
-        ));
+        let a = query(&[]);
+        assert_eq!(a.query_type, QueryType::And);
+        assert_eq!(a.budget, 20);
 
-        let mut with_type = v(&base);
-        with_type.extend(v(&["--type", "softand:2", "--budget", "5", "--json"]));
-        let c = parse(&with_type).unwrap();
-        match c {
-            Command::Query {
-                query_type,
-                budget,
-                json,
-                ..
-            } => {
-                assert_eq!(query_type, QueryType::SoftAnd(2));
-                assert_eq!(budget, 5);
-                assert!(json);
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = query(&["--type", "softand:2", "--budget", "5", "--json"]);
+        assert_eq!(a.query_type, QueryType::SoftAnd(2));
+        assert_eq!(a.budget, 5);
+        assert!(a.json);
     }
 
     #[test]
     fn profile_flags_parse_on_query_and_serve() {
-        let c = parse(&v(&["query", "--graph", "g", "--queries", "0,1"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Query {
-                profile: false,
-                profile_out: None,
-                ..
-            }
-        ));
-        let c = parse(&v(&[
-            "query",
-            "--graph",
-            "g",
-            "--queries",
-            "0,1",
-            "--profile",
-        ]))
-        .unwrap();
-        assert!(matches!(c, Command::Query { profile: true, .. }));
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
-            "--profile",
-            "--profile-out",
-            "/tmp/p.json",
-        ]))
-        .unwrap();
-        match c {
-            Command::Serve {
-                profile,
-                profile_out,
-                ..
-            } => {
-                assert!(profile);
-                assert_eq!(profile_out, Some(PathBuf::from("/tmp/p.json")));
-            }
-            other => panic!("{other:?}"),
-        }
+        let a = query(&[]);
+        assert!(!a.profile && a.profile_out.is_none());
+        assert!(query(&["--profile"]).profile);
+        let a = serve(&["--profile", "--profile-out", "/tmp/p.json"]);
+        assert!(a.profile);
+        assert_eq!(a.profile_out, Some(PathBuf::from("/tmp/p.json")));
     }
 
     #[test]
     fn serve_defaults_and_bounds() {
-        let c = parse(&v(&["serve", "--graph", "g"])).unwrap();
-        match c {
-            Command::Serve {
-                requests,
-                queries_per,
-                workers,
-                repeat,
-                cache_mb,
-                json,
-                ..
-            } => {
-                assert_eq!(requests, 64);
-                assert_eq!(queries_per, 3);
-                assert_eq!(workers, 4);
-                assert_eq!(repeat, 0.5);
-                assert_eq!(cache_mb, 64);
-                assert!(!json);
-            }
-            other => panic!("{other:?}"),
-        }
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
-            "--repeat",
-            "0.9",
-            "--cache-mb",
-            "0",
-            "--json",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                cache_mb: 0,
-                json: true,
-                ..
-            }
-        ));
-        assert!(parse(&v(&["serve", "--graph", "g", "--repeat", "1.5"]))
-            .unwrap_err()
-            .0
-            .contains("--repeat"));
-        assert!(parse(&v(&["serve"])).unwrap_err().0.contains("--graph"));
+        let a = serve(&[]);
+        assert_eq!(a.requests, 64);
+        assert_eq!(a.queries_per, 3);
+        assert_eq!(a.workers, 4);
+        assert_eq!(a.repeat, 0.5);
+        assert_eq!(a.cache_mb, 64);
+        assert!(!a.json);
+        let a = serve(&["--repeat", "0.9", "--cache-mb", "0", "--json"]);
+        assert_eq!(a.cache_mb, 0);
+        assert!(a.json);
+        assert!(parse_err(&["serve", "--graph", "g", "--repeat", "1.5"]).contains("--repeat"));
+        assert!(parse_err(&["serve"]).contains("--graph"));
     }
 
     #[test]
     fn serve_coalescing_and_warming_flags_parse_with_bounds() {
-        let c = parse(&v(&["serve", "--graph", "g"])).unwrap();
-        match c {
-            Command::Serve {
-                coalesce_us,
-                coalesce_batch,
-                warm_frac,
-                ..
-            } => {
-                assert_eq!(coalesce_us, 0, "coalescing defaults to off");
-                assert_eq!(coalesce_batch, 32);
-                assert_eq!(warm_frac, 0.0, "warming defaults to off");
-            }
-            other => panic!("{other:?}"),
-        }
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
-            "--coalesce-us",
-            "500",
-            "--coalesce-batch",
-            "16",
-            "--warm-frac",
-            "0.25",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                coalesce_us: 500,
-                coalesce_batch: 16,
-                ..
-            }
-        ));
-        match c {
-            Command::Serve { warm_frac, .. } => assert_eq!(warm_frac, 0.25),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&v(&["serve", "--graph", "g", "--warm-frac", "1.5"]))
-            .unwrap_err()
-            .0
-            .contains("--warm-frac"));
-        assert!(
-            parse(&v(&["serve", "--graph", "g", "--coalesce-batch", "0"]))
-                .unwrap_err()
-                .0
-                .contains("--coalesce-batch")
-        );
+        let a = serve(&[]);
+        assert_eq!(a.coalesce_us, 0, "coalescing defaults to off");
+        assert_eq!(a.warm_frac, 0.0, "warming defaults to off");
+        let a = serve(&["--coalesce-us", "500", "--warm-frac", "0.25"]);
+        assert_eq!(a.coalesce_us, 500);
+        assert_eq!(a.warm_frac, 0.25);
+        assert!(parse_err(&["serve", "--graph", "g", "--warm-frac", "1.5"]).contains("--warm-frac"));
     }
 
     #[test]
     fn serve_telemetry_flags_parse_with_defaults_and_bounds() {
-        let c = parse(&v(&["serve", "--graph", "g"])).unwrap();
-        match c {
-            Command::Serve {
-                metrics_out,
-                metrics_interval_ms,
-                trace_out,
-                trace_sample,
-                ..
-            } => {
-                assert!(metrics_out.is_none());
-                assert_eq!(metrics_interval_ms, 500);
-                assert!(trace_out.is_none());
-                assert_eq!(trace_sample, 1.0);
-            }
-            other => panic!("{other:?}"),
-        }
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
+        let a = serve(&[]);
+        assert!(a.metrics_out.is_none());
+        assert_eq!(a.metrics_interval_ms, 500);
+        assert!(a.trace_out.is_none());
+        assert_eq!(a.trace_sample, 1.0);
+        let a = serve(&[
             "--metrics-out",
             "m.prom",
             "--metrics-interval",
@@ -885,69 +797,58 @@ mod tests {
             "t.jsonl",
             "--trace-sample",
             "0.1",
-        ]))
-        .unwrap();
-        match c {
-            Command::Serve {
-                metrics_out,
-                metrics_interval_ms,
-                trace_out,
-                trace_sample,
-                ..
-            } => {
-                assert_eq!(metrics_out, Some(PathBuf::from("m.prom")));
-                assert_eq!(metrics_interval_ms, 250);
-                assert_eq!(trace_out, Some(PathBuf::from("t.jsonl")));
-                assert_eq!(trace_sample, 0.1);
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert_eq!(a.metrics_out, Some(PathBuf::from("m.prom")));
+        assert_eq!(a.metrics_interval_ms, 250);
+        assert_eq!(a.trace_out, Some(PathBuf::from("t.jsonl")));
+        assert_eq!(a.trace_sample, 0.1);
         assert!(
-            parse(&v(&["serve", "--graph", "g", "--trace-sample", "1.5"]))
-                .unwrap_err()
-                .0
+            parse_err(&["serve", "--graph", "g", "--trace-sample", "1.5"])
                 .contains("--trace-sample")
         );
         assert!(
-            parse(&v(&["serve", "--graph", "g", "--metrics-interval", "0"]))
-                .unwrap_err()
-                .0
+            parse_err(&["serve", "--graph", "g", "--metrics-interval", "0"])
                 .contains("--metrics-interval")
         );
     }
 
     #[test]
     fn unknown_flags_fail_naming_the_flag_and_subcommand() {
-        let err = parse(&v(&[
-            "query",
-            "--graph",
-            "g",
-            "--queries",
-            "0,7",
-            "--budgett",
-            "3",
-        ]))
-        .unwrap_err()
-        .0;
-        assert!(
-            err.contains("--budgett") && err.contains("ceps query"),
-            "{err}"
-        );
-        let err = parse(&v(&["serve", "--graph", "g", "--precision", "f32"]))
-            .unwrap_err()
-            .0;
-        assert!(
-            err.contains("--precision") && err.contains("ceps serve"),
-            "{err}"
-        );
-        // A boolean flag another subcommand takes is still unknown here.
-        let err = parse(&v(&["stats", "--graph", "g", "--json"]))
-            .unwrap_err()
-            .0;
-        assert!(
-            err.contains("--json") && err.contains("ceps stats"),
-            "{err}"
-        );
+        for (args, flag, command) in [
+            (
+                &[
+                    "query",
+                    "--graph",
+                    "g",
+                    "--queries",
+                    "0,7",
+                    "--budgett",
+                    "3",
+                ][..],
+                "--budgett",
+                "ceps query",
+            ),
+            (
+                &["serve", "--graph", "g", "--precision", "f32"][..],
+                "--precision",
+                "ceps serve",
+            ),
+            // The coalescing batch cap is a constant, not a flag.
+            (
+                &["serve", "--graph", "g", "--coalesce-batch", "32"][..],
+                "--coalesce-batch",
+                "ceps serve",
+            ),
+            // A boolean flag another subcommand takes is still unknown here.
+            (
+                &["stats", "--graph", "g", "--json"][..],
+                "--json",
+                "ceps stats",
+            ),
+        ] {
+            let err = parse_err(args);
+            assert!(err.contains(flag) && err.contains(command), "{err}");
+        }
         // The full flag set a benchmark passes to a wire server parses.
         let c = parse(&v(&[
             "serve",
@@ -976,14 +877,14 @@ mod tests {
             "--metrics-interval",
             "100",
         ]));
-        assert!(matches!(c, Ok(Command::Serve { .. })), "{c:?}");
+        assert!(matches!(c, Ok(Command::Serve(_))), "{c:?}");
     }
 
     #[test]
     fn autok_and_import_parse() {
-        let c = parse(&v(&["autok", "--graph", "g", "--queries", "a,b"])).unwrap();
-        assert!(matches!(c, Command::AutoK { .. }));
-        let c = parse(&v(&[
+        let c = parse_ok(&["autok", "--graph", "g", "--queries", "a,b"]);
+        assert!(matches!(c, Command::AutoK(_)));
+        let c = parse_ok(&[
             "import",
             "--pairs",
             "p.tsv",
@@ -991,188 +892,80 @@ mod tests {
             "g.txt",
             "--labels-out",
             "l.txt",
-        ]))
-        .unwrap();
-        assert!(matches!(c, Command::Import { .. }));
+        ]);
+        assert!(matches!(c, Command::Import(_)));
         assert!(parse(&v(&["import", "--pairs", "p"])).is_err());
     }
 
     #[test]
     fn serve_listen_and_client_parse() {
-        let c = parse(&v(&["serve", "--graph", "g"])).unwrap();
-        assert!(matches!(c, Command::Serve { listen: None, .. }));
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
-            "--listen",
-            "unix:///tmp/c.sock",
-        ]))
-        .unwrap();
-        match c {
-            Command::Serve { listen, .. } => {
-                assert_eq!(listen.as_deref(), Some("unix:///tmp/c.sock"))
-            }
-            other => panic!("{other:?}"),
-        }
+        assert!(serve(&[]).listen.is_none());
+        let a = serve(&["--listen", "unix:///tmp/c.sock"]);
+        assert_eq!(a.listen.as_deref(), Some("unix:///tmp/c.sock"));
 
-        let c = parse(&v(&[
-            "client",
-            "--connect",
-            "/tmp/c.sock",
-            "--queries",
-            "0,4",
-        ]))
-        .unwrap();
-        match c {
-            Command::Client {
-                connect,
-                action,
-                json,
-                timeout_ms,
-                trace_out,
-            } => {
-                assert_eq!(connect, "/tmp/c.sock");
-                assert_eq!(action, ClientAction::Query("0,4".into()));
-                assert!(!json);
-                assert_eq!(timeout_ms, 30_000);
-                assert!(trace_out.is_none());
+        match parse_ok(&["client", "--connect", "/tmp/c.sock", "--queries", "0,4"]) {
+            Command::Client(a) => {
+                assert_eq!(a.connect, "/tmp/c.sock");
+                assert_eq!(a.action, ClientAction::Query("0,4".into()));
+                assert!(!a.json);
+                assert_eq!(a.timeout_ms, 30_000);
+                assert!(a.trace_out.is_none());
             }
             other => panic!("{other:?}"),
         }
-        let c = parse(&v(&[
-            "client",
-            "--connect",
-            "tcp://127.0.0.1:7070",
-            "--ping",
-            "--json",
-            "--timeout",
-            "500",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Client {
-                action: ClientAction::Ping,
-                json: true,
-                timeout_ms: 500,
-                ..
-            }
-        ));
+        let a = client(&["--ping", "--json", "--timeout", "500"]);
+        assert_eq!(a.action, ClientAction::Ping);
+        assert!(a.json);
+        assert_eq!(a.timeout_ms, 500);
         for flag in ["--stdin", "--stats", "--dump-flight", "--shutdown"] {
-            let c = parse(&v(&["client", "--connect", "a", flag])).unwrap();
-            assert!(matches!(c, Command::Client { .. }));
+            client(&[flag]);
         }
-        let c = parse(&v(&["client", "--connect", "a", "--autok", "1,2,3"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Client {
-                action: ClientAction::AutoK(_),
-                ..
-            }
-        ));
+        assert_eq!(
+            client(&["--autok", "1,2,3"]).action,
+            ClientAction::AutoK("1,2,3".into())
+        );
 
         // Exactly one action.
-        assert!(parse(&v(&["client", "--connect", "a"]))
-            .unwrap_err()
-            .0
-            .contains("exactly one action"));
+        assert!(parse_err(&["client", "--connect", "a"]).contains("exactly one action"));
         assert!(
-            parse(&v(&["client", "--connect", "a", "--ping", "--stats"]))
-                .unwrap_err()
-                .0
+            parse_err(&["client", "--connect", "a", "--ping", "--stats"])
                 .contains("one action at a time")
         );
-        assert!(parse(&v(&["client", "--ping"]))
-            .unwrap_err()
-            .0
-            .contains("--connect"));
+        assert!(parse_err(&["client", "--ping"]).contains("--connect"));
     }
 
     #[test]
     fn tracing_and_flight_flags_parse() {
-        let c = parse(&v(&["serve", "--graph", "g"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                flight_out: None,
-                ..
-            }
-        ));
-        let c = parse(&v(&[
-            "serve",
-            "--graph",
-            "g",
+        assert!(serve(&[]).flight_out.is_none());
+        let a = serve(&[
             "--listen",
             "unix:///tmp/c.sock",
             "--flight-out",
             "flight.jsonl",
-        ]))
-        .unwrap();
-        match c {
-            Command::Serve { flight_out, .. } => {
-                assert_eq!(flight_out, Some(PathBuf::from("flight.jsonl")))
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert_eq!(a.flight_out, Some(PathBuf::from("flight.jsonl")));
 
-        let c = parse(&v(&["client", "--connect", "a", "--dump-flight"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Client {
-                action: ClientAction::DumpFlight,
-                ..
-            }
-        ));
-        let c = parse(&v(&[
-            "client",
-            "--connect",
-            "a",
-            "--queries",
-            "0,4",
-            "--trace-out",
-            "client-trace.jsonl",
-        ]))
-        .unwrap();
-        match c {
-            Command::Client { trace_out, .. } => {
-                assert_eq!(trace_out, Some(PathBuf::from("client-trace.jsonl")))
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(client(&["--dump-flight"]).action, ClientAction::DumpFlight);
+        let a = client(&["--queries", "0,4", "--trace-out", "client-trace.jsonl"]);
+        assert_eq!(a.trace_out, Some(PathBuf::from("client-trace.jsonl")));
     }
 
     #[test]
     fn loadgen_defaults_overrides_and_bounds() {
-        let c = parse(&v(&["loadgen", "--connect", "unix:///tmp/c.sock"])).unwrap();
-        match c {
-            Command::Loadgen {
-                connect,
-                rps,
-                duration_s,
-                warmup_s,
-                arrival,
-                connections,
-                search,
-                json,
-                out,
-                ..
-            } => {
-                assert_eq!(connect, "unix:///tmp/c.sock");
-                assert_eq!(rps, 100.0);
-                assert_eq!(duration_s, 10.0);
-                assert_eq!(warmup_s, 2.0);
-                assert_eq!(arrival, ArrivalKind::Poisson);
-                assert_eq!(connections, 4);
-                assert!(!search && !json);
-                assert!(out.is_none());
+        match parse_ok(&["loadgen", "--connect", "unix:///tmp/c.sock"]) {
+            Command::Loadgen(a) => {
+                assert_eq!(a.connect, "unix:///tmp/c.sock");
+                assert_eq!(a.load.rps, 100.0);
+                assert_eq!(a.load.duration_s, 10.0);
+                assert_eq!(a.load.warmup_s, 2.0);
+                assert_eq!(a.load.arrival, ArrivalKind::Poisson);
+                assert_eq!(a.load.connections, 4);
+                assert!(!a.search && !a.json);
+                assert!(a.out.is_none());
             }
             other => panic!("{other:?}"),
         }
-        let c = parse(&v(&[
-            "loadgen",
-            "--connect",
-            "a",
+        let a = loadgen(&[
             "--rps",
             "500",
             "--duration",
@@ -1189,84 +982,34 @@ mod tests {
             "--json",
             "--out",
             "curve.json",
-        ]))
-        .unwrap();
-        match c {
-            Command::Loadgen {
-                rps,
-                duration_s,
-                warmup_s,
-                arrival,
-                connections,
-                slo_p99_ms,
-                search,
-                json,
-                out,
-                ..
-            } => {
-                assert_eq!(rps, 500.0);
-                assert_eq!(duration_s, 4.0);
-                assert_eq!(warmup_s, 1.0);
-                assert_eq!(arrival, ArrivalKind::Constant);
-                assert_eq!(connections, 8);
-                assert_eq!(slo_p99_ms, 25.0);
-                assert!(search && json);
-                assert_eq!(out, Some(PathBuf::from("curve.json")));
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert_eq!(a.load.rps, 500.0);
+        assert_eq!(a.load.duration_s, 4.0);
+        assert_eq!(a.load.warmup_s, 1.0);
+        assert_eq!(a.load.arrival, ArrivalKind::Constant);
+        assert_eq!(a.load.connections, 8);
+        assert_eq!(a.slo.p99_ms, 25.0);
+        assert!(a.search && a.json);
+        assert_eq!(a.out, Some(PathBuf::from("curve.json")));
 
         // Query-mix flags: uniform with the default pool unless asked.
-        let c = parse(&v(&["loadgen", "--connect", "a"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Loadgen {
-                mix: MixKind::Uniform,
-                pool_size: DEFAULT_HOT_POOL,
-                ..
-            }
-        ));
-        let c = parse(&v(&[
-            "loadgen",
-            "--connect",
-            "a",
-            "--mix",
-            "hubs",
-            "--pool-size",
-            "48",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Loadgen {
-                mix: MixKind::Hubs,
-                pool_size: 48,
-                ..
-            }
-        ));
-        assert!(parse(&v(&["loadgen", "--connect", "a", "--mix", "zipf"]))
-            .unwrap_err()
-            .0
-            .contains("--mix"));
+        let a = loadgen(&[]);
+        assert_eq!(a.load.mix, MixKind::Uniform);
+        assert_eq!(a.load.pool_size, DEFAULT_HOT_POOL);
+        let a = loadgen(&["--mix", "hubs", "--pool-size", "48"]);
+        assert_eq!(a.load.mix, MixKind::Hubs);
+        assert_eq!(a.load.pool_size, 48);
+        assert!(parse_err(&["loadgen", "--connect", "a", "--mix", "zipf"]).contains("--mix"));
         assert!(
-            parse(&v(&["loadgen", "--connect", "a", "--pool-size", "0"]))
-                .unwrap_err()
-                .0
-                .contains("--pool-size")
+            parse_err(&["loadgen", "--connect", "a", "--pool-size", "0"]).contains("--pool-size")
         );
 
-        assert!(parse(&v(&["loadgen"])).unwrap_err().0.contains("--connect"));
+        assert!(parse_err(&["loadgen"]).contains("--connect"));
         assert!(
-            parse(&v(&["loadgen", "--connect", "a", "--arrival", "uniform"]))
-                .unwrap_err()
-                .0
-                .contains("--arrival")
+            parse_err(&["loadgen", "--connect", "a", "--arrival", "uniform"]).contains("--arrival")
         );
-        assert!(parse(&v(&["loadgen", "--connect", "a", "--rps", "0"]))
-            .unwrap_err()
-            .0
-            .contains("--rps"));
-        assert!(parse(&v(&[
+        assert!(parse_err(&["loadgen", "--connect", "a", "--rps", "0"]).contains("--rps"));
+        assert!(parse_err(&[
             "loadgen",
             "--connect",
             "a",
@@ -1274,38 +1017,38 @@ mod tests {
             "2",
             "--warmup",
             "2"
-        ]))
-        .unwrap_err()
-        .0
+        ])
         .contains("--warmup"));
     }
 
     #[test]
     fn errors_are_descriptive() {
-        assert!(parse(&v(&["bogus"]))
-            .unwrap_err()
-            .0
-            .contains("unknown command"));
-        assert!(parse(&v(&["stats"])).unwrap_err().0.contains("--graph"));
-        assert!(parse(&v(&[
-            "query",
-            "--graph",
-            "g",
-            "--queries",
-            "a",
-            "--type",
-            "nand"
-        ]))
-        .unwrap_err()
-        .0
-        .contains("unknown query type"));
-        assert!(parse(&v(&["partition", "--graph", "g", "--out", "o"]))
-            .unwrap_err()
-            .0
-            .contains("--parts"));
-        assert!(parse(&v(&["stats", "--graph"]))
-            .unwrap_err()
-            .0
-            .contains("needs a value"));
+        for (args, needle) in [
+            (&["bogus"][..], "unknown command"),
+            (&["stats"][..], "--graph"),
+            (
+                &["query", "--graph", "g", "--queries", "a", "--type", "nand"][..],
+                "unknown query type",
+            ),
+            (&["partition", "--graph", "g", "--out", "o"][..], "--parts"),
+            (&["stats", "--graph"][..], "needs a value"),
+            // A value flag followed by another flag has no value; the next
+            // flag is never taken as one.
+            (
+                &[
+                    "query",
+                    "--graph",
+                    "g",
+                    "--queries",
+                    "0,1",
+                    "--dot",
+                    "--json",
+                ][..],
+                "flag --dot needs a value",
+            ),
+        ] {
+            let err = parse_err(args);
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 }

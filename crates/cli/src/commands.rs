@@ -5,12 +5,15 @@ use std::fs;
 use std::io::BufReader;
 use std::path::Path;
 
-use ceps_core::{eval, CepsConfig, CepsEngine, CepsServiceBuilder, QueryType, ServeRequest};
+use ceps_core::{eval, CepsConfig, CepsEngine, CepsServiceBuilder, ServeRequest};
 use ceps_graph::{io as gio, CsrGraph, NodeId, NodeLabels};
 use ceps_load::splitmix64;
 use ceps_partition::{partition_graph, PartitionConfig};
 
-use crate::args::ClientAction;
+use crate::args::{
+    AutoKArgs, ClientAction, ClientArgs, GenerateArgs, ImportArgs, LoadgenArgs, PartitionArgs,
+    QueryArgs, ServeArgs, StatsArgs,
+};
 use crate::{CliError, Command};
 
 /// Executes a parsed command, returning its stdout text.
@@ -20,159 +23,15 @@ use crate::{CliError, Command};
 pub fn execute(cmd: Command) -> Result<String, CliError> {
     match cmd {
         Command::Help => Ok(crate::args::USAGE.to_string()),
-        Command::Generate {
-            scale,
-            seed,
-            out,
-            labels_out,
-        } => generate(&scale, seed, &out, labels_out.as_deref()),
-        Command::Stats { graph } => stats(&graph),
-        Command::Query {
-            graph,
-            labels,
-            queries,
-            query_type,
-            budget,
-            alpha,
-            dot,
-            json,
-            push,
-            threads,
-            profile,
-            profile_out,
-        } => query(
-            &graph,
-            labels.as_deref(),
-            &queries,
-            QueryOptions {
-                query_type,
-                budget,
-                alpha,
-                dot,
-                json,
-                push,
-                threads,
-                profile,
-                profile_out,
-            },
-        ),
-        Command::Partition {
-            graph,
-            parts,
-            seed,
-            out,
-        } => partition(&graph, parts, seed, &out),
-        Command::AutoK {
-            graph,
-            labels,
-            queries,
-            alpha,
-            threads,
-        } => autok(&graph, labels.as_deref(), &queries, alpha, threads),
-        Command::Serve {
-            graph,
-            requests,
-            queries_per,
-            workers,
-            repeat,
-            budget,
-            alpha,
-            cache_mb,
-            coalesce_us,
-            coalesce_batch,
-            warm_frac,
-            seed,
-            threads,
-            json,
-            profile,
-            profile_out,
-            metrics_out,
-            metrics_interval_ms,
-            trace_out,
-            trace_sample,
-            listen,
-            flight_out,
-        } => serve(
-            &graph,
-            ServeOptions {
-                requests,
-                queries_per,
-                workers,
-                repeat,
-                budget,
-                alpha,
-                cache_mb,
-                coalesce_us,
-                coalesce_batch,
-                warm_frac,
-                seed,
-                threads,
-                json,
-                profile,
-                profile_out,
-                metrics_out,
-                metrics_interval_ms,
-                trace_out,
-                trace_sample,
-                listen,
-                flight_out,
-            },
-        ),
-        Command::Client {
-            connect,
-            action,
-            json,
-            timeout_ms,
-            trace_out,
-        } => client(&connect, action, json, timeout_ms, trace_out.as_deref()),
-        Command::Loadgen {
-            connect,
-            rps,
-            duration_s,
-            warmup_s,
-            arrival,
-            connections,
-            queries_per,
-            node_space,
-            repeat,
-            mix,
-            pool_size,
-            seed,
-            slo_p99_ms,
-            max_error_rate,
-            search,
-            json,
-            out,
-        } => loadgen(
-            &connect,
-            LoadgenOptions {
-                cfg: ceps_load::LoadConfig {
-                    rps,
-                    duration_s,
-                    warmup_s,
-                    arrival,
-                    connections,
-                    queries_per,
-                    node_space,
-                    repeat,
-                    mix,
-                    pool_size,
-                    seed,
-                },
-                slo: ceps_load::SloSpec {
-                    p99_ms: slo_p99_ms,
-                    max_error_rate,
-                },
-                search,
-                json,
-                out,
-            },
-        ),
-        Command::Import {
-            pairs,
-            out,
-            labels_out,
-        } => import(&pairs, &out, &labels_out),
+        Command::Generate(args) => generate(&args),
+        Command::Stats(args) => stats(&args),
+        Command::Query(args) => query(&args),
+        Command::Partition(args) => partition(&args),
+        Command::AutoK(args) => autok(&args),
+        Command::Serve(args) => serve(&args),
+        Command::Client(args) => client(&args),
+        Command::Loadgen(args) => loadgen(&args),
+        Command::Import(args) => import(&args),
     }
 }
 
@@ -188,20 +47,21 @@ fn load_labels(path: &Path) -> Result<NodeLabels, CliError> {
     Ok(NodeLabels::from_names(text.lines().map(str::to_string)))
 }
 
-fn generate(
-    scale: &str,
-    seed: u64,
-    out: &Path,
-    labels_out: Option<&Path>,
-) -> Result<String, CliError> {
-    let cfg = match scale {
+fn generate(args: &GenerateArgs) -> Result<String, CliError> {
+    let GenerateArgs {
+        scale,
+        seed,
+        out,
+        labels_out,
+    } = args;
+    let cfg = match scale.as_str() {
         "tiny" => ceps_datagen::CoauthorConfig::tiny(),
         "small" => ceps_datagen::CoauthorConfig::small(),
         "medium" => ceps_datagen::CoauthorConfig::medium(),
         "large" => ceps_datagen::CoauthorConfig::large(),
         other => return Err(CliError(format!("unknown scale {other:?}"))),
     };
-    let data = cfg.seed(seed).generate();
+    let data = cfg.seed(*seed).generate();
     let mut buf = Vec::new();
     gio::write_edge_list(&data.graph, &mut buf)?;
     fs::write(out, buf)?;
@@ -221,8 +81,8 @@ fn generate(
     Ok(msg)
 }
 
-fn stats(path: &Path) -> Result<String, CliError> {
-    let g = load_graph(path)?;
+fn stats(args: &StatsArgs) -> Result<String, CliError> {
+    let g = load_graph(&args.graph)?;
     let comp = ceps_graph::algo::connected_components(&g);
     let giant = comp.sizes().into_iter().max().unwrap_or(0);
     let s = ceps_graph::stats::graph_stats(&g);
@@ -280,19 +140,6 @@ fn resolve_queries(
     Ok(out)
 }
 
-/// Options of the `query` subcommand, bundled to keep the signature sane.
-struct QueryOptions {
-    query_type: QueryType,
-    budget: usize,
-    alpha: f64,
-    dot: Option<std::path::PathBuf>,
-    json: bool,
-    push: Option<f64>,
-    threads: usize,
-    profile: bool,
-    profile_out: Option<std::path::PathBuf>,
-}
-
 /// Default snapshot path for `--profile` without `--profile-out`.
 const DEFAULT_PROFILE_OUT: &str = "results/OBS_profile.json";
 
@@ -313,27 +160,20 @@ fn write_profile(path: Option<&Path>, label: &str) -> Result<std::path::PathBuf,
     Ok(path)
 }
 
-fn query(
-    graph_path: &Path,
-    labels_path: Option<&Path>,
-    queries: &str,
-    opts: QueryOptions,
-) -> Result<String, CliError> {
-    let QueryOptions {
+fn query(args: &QueryArgs) -> Result<String, CliError> {
+    let QueryArgs {
         query_type,
         budget,
         alpha,
-        dot,
         json,
         push,
         threads,
         profile,
-        profile_out,
-    } = opts;
-    let dot = dot.as_deref();
-    let graph = load_graph(graph_path)?;
-    let labels = labels_path.map(load_labels).transpose()?;
-    let query_nodes = resolve_queries(queries, labels.as_ref(), &graph)?;
+        ..
+    } = *args;
+    let graph = load_graph(&args.graph)?;
+    let labels = args.labels.as_deref().map(load_labels).transpose()?;
+    let query_nodes = resolve_queries(&args.queries, labels.as_ref(), &graph)?;
 
     let mut cfg = CepsConfig::default()
         .budget(budget)
@@ -357,7 +197,7 @@ fn query(
     let (result, stages) = run_out?;
     let nratio = eval::node_ratio(&result.combined, &result.subgraph);
 
-    if let Some(dot_path) = dot {
+    if let Some(dot_path) = &args.dot {
         let dot_text = ceps_viz::result_to_dot(
             &graph,
             &result,
@@ -415,7 +255,7 @@ fn query(
         });
         if profile {
             // Stdout stays pure JSON; the snapshot goes to the file only.
-            write_profile(profile_out.as_deref(), "query")?;
+            write_profile(args.profile_out.as_deref(), "query")?;
         }
         return Ok(format!(
             "{}\n",
@@ -457,24 +297,20 @@ fn query(
             stages.total_ms(),
         ));
         out.push_str(&ceps_obs::snapshot().render_tree());
-        let written = write_profile(profile_out.as_deref(), "query")?;
+        let written = write_profile(args.profile_out.as_deref(), "query")?;
         out.push_str(&format!("profile written to {}\n", written.display()));
     }
     Ok(out)
 }
 
-fn autok(
-    graph_path: &Path,
-    labels_path: Option<&Path>,
-    queries: &str,
-    alpha: f64,
-    threads: usize,
-) -> Result<String, CliError> {
-    let graph = load_graph(graph_path)?;
-    let labels = labels_path.map(load_labels).transpose()?;
-    let query_nodes = resolve_queries(queries, labels.as_ref(), &graph)?;
+fn autok(args: &AutoKArgs) -> Result<String, CliError> {
+    let graph = load_graph(&args.graph)?;
+    let labels = args.labels.as_deref().map(load_labels).transpose()?;
+    let query_nodes = resolve_queries(&args.queries, labels.as_ref(), &graph)?;
 
-    let cfg = CepsConfig::default().alpha(alpha).threads(threads);
+    let cfg = CepsConfig::default()
+        .alpha(args.alpha)
+        .threads(args.threads);
     let engine = CepsEngine::new(&graph, cfg)?;
     let inference = ceps_core::infer_soft_and_k(&engine, &query_nodes)?;
 
@@ -494,31 +330,6 @@ fn autok(
         inference.k
     ));
     Ok(out)
-}
-
-/// Options of the `serve` subcommand.
-struct ServeOptions {
-    requests: usize,
-    queries_per: usize,
-    workers: usize,
-    repeat: f64,
-    budget: usize,
-    alpha: f64,
-    cache_mb: usize,
-    coalesce_us: u64,
-    coalesce_batch: usize,
-    warm_frac: f64,
-    seed: u64,
-    threads: usize,
-    json: bool,
-    profile: bool,
-    profile_out: Option<std::path::PathBuf>,
-    metrics_out: Option<std::path::PathBuf>,
-    metrics_interval_ms: u64,
-    trace_out: Option<std::path::PathBuf>,
-    trace_sample: f64,
-    listen: Option<String>,
-    flight_out: Option<std::path::PathBuf>,
 }
 
 /// The `ceps-metrics/v1` event stream lives next to the Prometheus file:
@@ -576,71 +387,79 @@ fn synthetic_stream(
     stream
 }
 
-fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
-    let graph = load_graph(graph_path)?;
-    let cfg = CepsConfig::default()
-        .budget(opts.budget)
-        .alpha(opts.alpha)
-        .threads(opts.threads);
-    let engine = CepsEngine::new(graph, cfg)?;
-    let mut builder = CepsServiceBuilder::new()
-        .cache_bytes(opts.cache_mb << 20)
-        .workers(opts.workers);
-    if opts.coalesce_us > 0 {
-        builder = builder.coalesce(ceps_core::CoalesceConfig {
-            window_us: opts.coalesce_us,
-            max_batch: opts.coalesce_batch,
-        });
-    }
-    let service = builder.build(engine);
-    // --profile and --metrics-out need the registry live, and --flight-out
-    // feeds on span events under --listen. Install (and reset) before
-    // warming so the startup `serve.warm.*` counters land in the export
-    // instead of being wiped by a later reset.
-    if opts.profile || opts.metrics_out.is_some() || opts.flight_out.is_some() {
-        ceps_obs::install_recorder();
-        ceps_obs::reset();
-    }
-    if opts.warm_frac > 0.0 {
-        // Startup warming: pre-solve the top-degree rows into the cache,
-        // up to --warm-frac of the cache byte budget.
-        let budget = ((opts.cache_mb << 20) as f64 * opts.warm_frac) as usize;
-        let rows = service.warm(budget)?;
-        eprintln!("ceps: warmed {rows} cache rows (degree-weighted, budget {budget} bytes)");
-    }
-
-    if let Some(addr) = &opts.listen {
-        return serve_listen(service, addr, &opts);
-    }
-
-    let stream = synthetic_stream(
-        service.engine().graph(),
-        opts.requests,
-        opts.queries_per,
-        opts.repeat,
-        opts.seed,
-    );
-    let exporter = opts
+/// Starts what `--metrics-out` and `--trace-out` ask for: the background
+/// metrics exporter and the request tracer.
+fn serve_telemetry(
+    args: &ServeArgs,
+) -> Result<
+    (
+        Option<ceps_obs::MetricsExporter>,
+        Option<ceps_core::RequestTracer>,
+    ),
+    CliError,
+> {
+    let exporter = args
         .metrics_out
         .as_ref()
         .map(|prom| {
-            let cfg = ceps_obs::ExporterConfig::new(opts.metrics_interval_ms)
+            let cfg = ceps_obs::ExporterConfig::new(args.metrics_interval_ms)
                 .prom(prom.clone())
                 .events(metrics_events_path(prom));
             ceps_obs::MetricsExporter::start(cfg)
                 .map_err(|e| CliError(format!("cannot start metrics exporter: {e}")))
         })
         .transpose()?;
-    let tracer = opts
+    let tracer = args
         .trace_out
         .as_ref()
         .map(|path| {
-            ceps_core::RequestTracer::to_file(path, opts.trace_sample)
+            ceps_core::RequestTracer::to_file(path, args.trace_sample)
                 .map_err(|e| CliError(format!("cannot open {}: {e}", path.display())))
         })
         .transpose()?;
+    Ok((exporter, tracer))
+}
 
-    let served = service.serve_stream(&stream, opts.workers, tracer.as_ref());
+fn serve(args: &ServeArgs) -> Result<String, CliError> {
+    let graph = load_graph(&args.graph)?;
+    let cfg = CepsConfig::default()
+        .budget(args.budget)
+        .alpha(args.alpha)
+        .threads(args.threads);
+    let engine = CepsEngine::new(graph, cfg)?;
+    let service = CepsServiceBuilder::new()
+        .cache_bytes(args.cache_mb << 20)
+        .coalesce_us(args.coalesce_us)
+        .build(engine);
+    // --profile and --metrics-out need the registry live, and --flight-out
+    // feeds on span events under --listen. Install (and reset) before
+    // warming so the startup `serve.warm.*` counters land in the export
+    // instead of being wiped by a later reset.
+    if args.profile || args.metrics_out.is_some() || args.flight_out.is_some() {
+        ceps_obs::install_recorder();
+        ceps_obs::reset();
+    }
+    if args.warm_frac > 0.0 {
+        // Startup warming: pre-solve the top-degree rows into the cache,
+        // up to --warm-frac of the cache byte budget.
+        let budget = ((args.cache_mb << 20) as f64 * args.warm_frac) as usize;
+        let rows = service.warm(budget)?;
+        eprintln!("ceps: warmed {rows} cache rows (degree-weighted, budget {budget} bytes)");
+    }
+    let (exporter, tracer) = serve_telemetry(args)?;
+
+    if let Some(addr) = &args.listen {
+        return serve_listen(service, addr, args, exporter, tracer);
+    }
+
+    let stream = synthetic_stream(
+        service.engine().graph(),
+        args.requests,
+        args.queries_per,
+        args.repeat,
+        args.seed,
+    );
+    let served = service.serve_stream(&stream, args.workers, tracer.as_ref());
     // Stop the exporter before reporting (even on error): the drop performs
     // one final flush, so the .prom file matches the final registry state.
     drop(exporter);
@@ -648,7 +467,7 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
     let mean_stages = outcome.mean_stage_ms();
     let health = service.serve_health();
 
-    if opts.json {
+    if args.json {
         let latency = serde_json::json!({
             "p50": outcome.latency_percentile_ms(50.0),
             "p95": outcome.latency_percentile_ms(95.0),
@@ -657,8 +476,8 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
         let doc = serde_json::json!({
             "requests": outcome.completed,
             "workers": outcome.workers,
-            "repeat_rate": opts.repeat,
-            "cache_mb": opts.cache_mb,
+            "repeat_rate": args.repeat,
+            "cache_mb": args.cache_mb,
             "wall_ms": outcome.wall_ms,
             "throughput_qps": outcome.throughput_qps(),
             "hit_rate": outcome.hit_rate(),
@@ -677,8 +496,8 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
                 "extract": mean_stages.extract_ms,
             }),
         });
-        if opts.profile {
-            write_profile(opts.profile_out.as_deref(), "serve")?;
+        if args.profile {
+            write_profile(args.profile_out.as_deref(), "serve")?;
         }
         return Ok(format!(
             "{}\n",
@@ -705,7 +524,7 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
                 .map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", 100.0 * r));
             out.push_str(&format!(
                 "cache: {rate} hits ({} hits / {} misses, {} evictions, budget {} MiB)\n",
-                stats.hits, stats.misses, stats.evictions, opts.cache_mb,
+                stats.hits, stats.misses, stats.evictions, args.cache_mb,
             ));
             out.push_str(&format!(
                 "cache fill {:.1}% ({} rows, {} warmed); single-flight waits {}; \
@@ -725,14 +544,30 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
         "mean stage time per request: scores {:.3} ms, combine {:.3} ms, extract {:.3} ms\n",
         mean_stages.scores_ms, mean_stages.combine_ms, mean_stages.extract_ms,
     ));
-    if let Some(prom) = &opts.metrics_out {
+    push_telemetry_summary(&mut out, args, tracer.as_ref());
+    if args.profile {
+        out.push('\n');
+        out.push_str(&ceps_obs::snapshot().render_tree());
+        let written = write_profile(args.profile_out.as_deref(), "serve")?;
+        out.push_str(&format!("profile written to {}\n", written.display()));
+    }
+    Ok(out)
+}
+
+/// Appends where the metrics and traces of a `serve` run went.
+fn push_telemetry_summary(
+    out: &mut String,
+    args: &ServeArgs,
+    tracer: Option<&ceps_core::RequestTracer>,
+) {
+    if let Some(prom) = &args.metrics_out {
         out.push_str(&format!(
             "metrics written to {} (events: {})\n",
             prom.display(),
             metrics_events_path(prom).display(),
         ));
     }
-    if let (Some(path), Some(tracer)) = (&opts.trace_out, &tracer) {
+    if let (Some(path), Some(tracer)) = (&args.trace_out, tracer) {
         out.push_str(&format!(
             "traces written to {} ({} lines, head rate {})\n",
             path.display(),
@@ -740,13 +575,6 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
             tracer.sample_rate(),
         ));
     }
-    if opts.profile {
-        out.push('\n');
-        out.push_str(&ceps_obs::snapshot().render_tree());
-        let written = write_profile(opts.profile_out.as_deref(), "serve")?;
-        out.push_str(&format!("profile written to {}\n", written.display()));
-    }
-    Ok(out)
 }
 
 /// `serve --listen`: run a long-lived `ceps-wire/v1` server over the
@@ -755,36 +583,19 @@ fn serve(graph_path: &Path, opts: ServeOptions) -> Result<String, CliError> {
 fn serve_listen(
     service: ceps_core::CepsService,
     addr: &str,
-    opts: &ServeOptions,
+    args: &ServeArgs,
+    exporter: Option<ceps_obs::MetricsExporter>,
+    tracer: Option<ceps_core::RequestTracer>,
 ) -> Result<String, CliError> {
     // The flight recorder feeds on span enter/exit events, which only
     // fire while the registry recorder is installed — `serve()` already
     // turned it on (before warming) when --flight-out asked for it.
-    if let Some(path) = &opts.flight_out {
+    if let Some(path) = &args.flight_out {
         // The ring must survive a crash: the panic hook writes it to the
         // same path even when the drain path below is never reached.
         ceps_obs::flight_enable(ceps_obs::DEFAULT_FLIGHT_CAPACITY);
         ceps_obs::install_flight_panic_hook(path.clone());
     }
-    let exporter = opts
-        .metrics_out
-        .as_ref()
-        .map(|prom| {
-            let cfg = ceps_obs::ExporterConfig::new(opts.metrics_interval_ms)
-                .prom(prom.clone())
-                .events(metrics_events_path(prom));
-            ceps_obs::MetricsExporter::start(cfg)
-                .map_err(|e| CliError(format!("cannot start metrics exporter: {e}")))
-        })
-        .transpose()?;
-    let tracer = opts
-        .trace_out
-        .as_ref()
-        .map(|path| {
-            ceps_core::RequestTracer::to_file(path, opts.trace_sample)
-                .map_err(|e| CliError(format!("cannot open {}: {e}", path.display())))
-        })
-        .transpose()?;
 
     let listen = ceps_net::ListenAddr::parse(addr);
     let mut transport = listen
@@ -793,7 +604,7 @@ fn serve_listen(
     let mut server = ceps_net::CepsServer::new(
         service,
         ceps_net::ServerConfig {
-            workers: opts.workers,
+            workers: args.workers,
             ..ceps_net::ServerConfig::default()
         },
     );
@@ -806,20 +617,20 @@ fn serve_listen(
         "ceps: serving {} on {} ({} workers; stop with `ceps client --connect {addr} --shutdown`)",
         ceps_net::WIRE_VERSION,
         transport.addr(),
-        opts.workers,
+        args.workers,
     );
     let stats = server
         .serve(transport.as_mut())
         .map_err(|e| CliError(format!("server failed: {e}")))?;
     // Final exporter flush happens on drop, after the last frame counted.
     drop(exporter);
-    if let Some(path) = &opts.flight_out {
+    if let Some(path) = &args.flight_out {
         ceps_obs::flight_dump_to(path)
             .map_err(|e| CliError(format!("cannot write {}: {e}", path.display())))?;
     }
 
     let cache = server.service().cache_stats();
-    if opts.json {
+    if args.json {
         let doc = serde_json::json!({
             "listen": transport.addr(),
             "server": stats,
@@ -831,7 +642,7 @@ fn serve_listen(
                 })
             }),
             "traces_written": server.tracer().map(ceps_core::RequestTracer::written),
-            "flight_out": opts.flight_out.as_ref().map(|p| p.display().to_string()),
+            "flight_out": args.flight_out.as_ref().map(|p| p.display().to_string()),
         });
         return Ok(format!(
             "{}\n",
@@ -844,22 +655,8 @@ fn serve_listen(
         transport.addr(),
         render_server_health(&stats),
     );
-    if let Some(prom) = &opts.metrics_out {
-        out.push_str(&format!(
-            "metrics written to {} (events: {})\n",
-            prom.display(),
-            metrics_events_path(prom).display(),
-        ));
-    }
-    if let (Some(path), Some(tracer)) = (&opts.trace_out, server.tracer()) {
-        out.push_str(&format!(
-            "traces written to {} ({} lines, head rate {})\n",
-            path.display(),
-            tracer.written(),
-            tracer.sample_rate(),
-        ));
-    }
-    if let Some(path) = &opts.flight_out {
+    push_telemetry_summary(&mut out, args, server.tracer());
+    if let Some(path) = &args.flight_out {
         out.push_str(&format!("flight ring written to {}\n", path.display()));
     }
     Ok(out)
@@ -944,17 +741,19 @@ const CLIENT_PIPELINE_WINDOW: usize = 4;
 
 /// `ceps client` — one-shot or stdin-batch requests against a running
 /// `serve --listen` server.
-fn client(
-    connect: &str,
-    action: ClientAction,
-    json: bool,
-    timeout_ms: u64,
-    trace_out: Option<&Path>,
-) -> Result<String, CliError> {
+fn client(args: &ClientArgs) -> Result<String, CliError> {
+    let ClientArgs {
+        connect,
+        action,
+        json,
+        timeout_ms,
+        trace_out,
+    } = args;
+    let (json, trace_out) = (*json, trace_out.as_deref());
     let mut c = ceps_net::CepsClient::connect(connect)
         .map_err(|e| CliError(format!("cannot connect to {connect}: {e}")))?;
-    if timeout_ms > 0 {
-        c.set_timeout(Some(std::time::Duration::from_millis(timeout_ms)))?;
+    if *timeout_ms > 0 {
+        c.set_timeout(Some(std::time::Duration::from_millis(*timeout_ms)))?;
     }
     if let Some(path) = trace_out {
         let file = fs::File::create(path)
@@ -1015,7 +814,7 @@ fn client(
             })
         }
         ClientAction::AutoK(spec) => {
-            let queries = parse_wire_queries(&spec)?;
+            let queries = parse_wire_queries(spec)?;
             let q = queries.len();
             let inference = c.autok(queries)?;
             Ok(if json {
@@ -1035,7 +834,7 @@ fn client(
             })
         }
         ClientAction::Query(spec) => {
-            let reply = c.request(&ServeRequest::new(parse_wire_queries(&spec)?))?;
+            let reply = c.request(&ServeRequest::new(parse_wire_queries(spec)?))?;
             Ok(if json {
                 format!(
                     "{}\n",
@@ -1144,7 +943,12 @@ fn client_batch(
     Ok(out)
 }
 
-fn import(pairs: &Path, out: &Path, labels_out: &Path) -> Result<String, CliError> {
+fn import(args: &ImportArgs) -> Result<String, CliError> {
+    let ImportArgs {
+        pairs,
+        out,
+        labels_out,
+    } = args;
     let file = fs::File::open(pairs)
         .map_err(|e| CliError(format!("cannot open {}: {e}", pairs.display())))?;
     let data = ceps_datagen::read_coauthor_pairs(BufReader::new(file))?;
@@ -1164,11 +968,17 @@ fn import(pairs: &Path, out: &Path, labels_out: &Path) -> Result<String, CliErro
     ))
 }
 
-fn partition(graph_path: &Path, parts: usize, seed: u64, out: &Path) -> Result<String, CliError> {
-    let graph = load_graph(graph_path)?;
-    let cfg = PartitionConfig {
+fn partition(args: &PartitionArgs) -> Result<String, CliError> {
+    let PartitionArgs {
+        graph,
+        parts,
         seed,
-        ..PartitionConfig::with_parts(parts)
+        out,
+    } = args;
+    let graph = load_graph(graph)?;
+    let cfg = PartitionConfig {
+        seed: *seed,
+        ..PartitionConfig::with_parts(*parts)
     };
     let p = partition_graph(&graph, &cfg)?;
     let mut text = String::new();
@@ -1183,15 +993,6 @@ fn partition(graph_path: &Path, parts: usize, seed: u64, out: &Path) -> Result<S
         p.edge_cut(&graph),
         p.balance(),
     ))
-}
-
-/// Everything `ceps loadgen` needs beyond the server address.
-struct LoadgenOptions {
-    cfg: ceps_load::LoadConfig,
-    slo: ceps_load::SloSpec,
-    search: bool,
-    json: bool,
-    out: Option<std::path::PathBuf>,
 }
 
 /// Hand-rolled JSON for a capacity curve (`ceps-load-curve/v1`): the
@@ -1224,15 +1025,16 @@ fn curve_json(curve: &ceps_load::CapacityCurve, slo: &ceps_load::SloSpec) -> Str
 /// `ceps loadgen` — a single fixed-rate open-loop run, or (with
 /// `--search`) a capacity search for the highest offered rate meeting
 /// the SLO.
-fn loadgen(connect: &str, opts: LoadgenOptions) -> Result<String, CliError> {
+fn loadgen(args: &LoadgenArgs) -> Result<String, CliError> {
+    let connect = args.connect.as_str();
     let connect_err = |e: std::io::Error| CliError(format!("cannot connect to {connect}: {e}"));
-    if opts.search {
+    if args.search {
         let factory = || ceps_net::CepsClient::connect(connect);
         let curve = ceps_load::capacity_search(
-            &opts.cfg,
-            &opts.slo,
+            &args.load,
+            &args.slo,
             &ceps_load::SearchConfig {
-                start_rps: opts.cfg.rps,
+                start_rps: args.load.rps,
                 ..ceps_load::SearchConfig::default()
             },
             &factory,
@@ -1249,20 +1051,20 @@ fn loadgen(connect: &str, opts: LoadgenOptions) -> Result<String, CliError> {
             },
         )
         .map_err(connect_err)?;
-        let json = curve_json(&curve, &opts.slo);
-        if let Some(path) = &opts.out {
+        let json = curve_json(&curve, &args.slo);
+        if let Some(path) = &args.out {
             fs::write(path, format!("{json}\n"))
                 .map_err(|e| CliError(format!("cannot write {}: {e}", path.display())))?;
         }
-        if opts.json {
+        if args.json {
             return Ok(format!("{json}\n"));
         }
         let mut out = format!(
             "capacity search: {} probes against {connect}, SLO p99 <= {} ms, \
              shed/error rate <= {}\n",
             curve.points.len(),
-            opts.slo.p99_ms,
-            opts.slo.max_error_rate,
+            args.slo.p99_ms,
+            args.slo.max_error_rate,
         );
         out.push_str(&format!(
             "  {:>10}  {:>10}  {:>9}  {:>7}  slo\n",
@@ -1282,28 +1084,28 @@ fn loadgen(connect: &str, opts: LoadgenOptions) -> Result<String, CliError> {
             Some(knee) => format!("knee: {knee:.1} rps (max sustainable load meeting the SLO)\n"),
             None => "knee: none — even the starting rate violated the SLO\n".to_string(),
         });
-        if let Some(path) = &opts.out {
+        if let Some(path) = &args.out {
             out.push_str(&format!("curve written to {}\n", path.display()));
         }
         Ok(out)
     } else {
-        let report = ceps_load::run(&opts.cfg, connect).map_err(connect_err)?;
-        let met = opts.slo.met_by(&report);
-        if let Some(path) = &opts.out {
+        let report = ceps_load::run(&args.load, connect).map_err(connect_err)?;
+        let met = args.slo.met_by(&report);
+        if let Some(path) = &args.out {
             fs::write(path, format!("{}\n", report.to_json()))
                 .map_err(|e| CliError(format!("cannot write {}: {e}", path.display())))?;
         }
-        if opts.json {
+        if args.json {
             return Ok(format!("{}\n", report.to_json()));
         }
         let mut out = report.render();
         out.push_str(&format!(
             "slo (p99 <= {} ms, shed/error rate <= {}): {}\n",
-            opts.slo.p99_ms,
-            opts.slo.max_error_rate,
+            args.slo.p99_ms,
+            args.slo.max_error_rate,
             if met { "met" } else { "VIOLATED" },
         ));
-        if let Some(path) = &opts.out {
+        if let Some(path) = &args.out {
             out.push_str(&format!("report written to {}\n", path.display()));
         }
         Ok(out)
@@ -1333,25 +1135,83 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Parses and executes one command line, as the binary does.
+    fn run(args: &[&str]) -> Result<String, CliError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        execute(crate::parse(&args)?)
+    }
+
+    fn s(p: &Path) -> &str {
+        p.to_str().unwrap()
+    }
+
     fn generated(dir: &Path) -> (PathBuf, PathBuf) {
         let g = dir.join("g.txt");
         let l = dir.join("l.txt");
-        let msg = execute(Command::Generate {
-            scale: "tiny".into(),
-            seed: 3,
-            out: g.clone(),
-            labels_out: Some(l.clone()),
-        })
+        let msg = run(&[
+            "generate",
+            "--scale",
+            "tiny",
+            "--seed",
+            "3",
+            "--out",
+            s(&g),
+            "--labels-out",
+            s(&l),
+        ])
         .unwrap();
         assert!(msg.contains("100 nodes"));
         (g, l)
+    }
+
+    /// Starts `serve --listen` on a Unix socket in `dir` with `extra`
+    /// flags; returns the address and the server thread, which yields the
+    /// drain summary once a client sends `--shutdown`.
+    fn listening(
+        dir: &Path,
+        g: &Path,
+        extra: &[&str],
+    ) -> (String, std::thread::JoinHandle<String>) {
+        let sock = dir.join("cli.sock");
+        let _ = fs::remove_file(&sock);
+        let addr = sock.display().to_string();
+        let args: Vec<String> = [
+            "serve",
+            "--graph",
+            s(g),
+            "--workers",
+            "2",
+            "--budget",
+            "4",
+            "--cache-mb",
+            "16",
+            "--listen",
+            &addr,
+        ]
+        .iter()
+        .chain(extra)
+        .map(|a| a.to_string())
+        .collect();
+        let server = std::thread::spawn(move || {
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            run(&args).unwrap()
+        });
+        // Wait until the server accepts connections: the socket file
+        // appears at bind, a moment before the listener accepts.
+        for _ in 0..1000 {
+            if ceps_net::CepsClient::connect(&addr).is_ok() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        (addr, server)
     }
 
     #[test]
     fn generate_then_stats() {
         let dir = test_dir("stats");
         let (g, _) = generated(&dir);
-        let out = execute(Command::Stats { graph: g }).unwrap();
+        let out = run(&["stats", "--graph", s(&g)]).unwrap();
         assert!(out.contains("nodes: 100"));
         assert!(out.contains("components:"));
     }
@@ -1361,40 +1221,33 @@ mod tests {
         let dir = test_dir("query");
         let (g, l) = generated(&dir);
         let labels = load_labels(&l).unwrap();
-        let name0 = labels.name(NodeId(0));
-        let name1 = labels.name(NodeId(30));
-        let out = execute(Command::Query {
-            graph: g.clone(),
-            labels: Some(l.clone()),
-            queries: format!("{name0},{name1}"),
-            query_type: QueryType::And,
-            budget: 5,
-            alpha: 0.5,
-            dot: None,
-            json: false,
-            push: None,
-            threads: 1,
-            profile: false,
-            profile_out: None,
-        })
+        let names = format!("{},{}", labels.name(NodeId(0)), labels.name(NodeId(30)));
+        let out = run(&[
+            "query",
+            "--graph",
+            s(&g),
+            "--labels",
+            s(&l),
+            "--queries",
+            &names,
+            "--budget",
+            "5",
+        ])
         .unwrap();
         assert!(out.contains("AND query"));
         assert!(out.contains("(query)"));
 
-        let out = execute(Command::Query {
-            graph: g,
-            labels: None,
-            queries: "0,30".into(),
-            query_type: QueryType::Or,
-            budget: 5,
-            alpha: 0.5,
-            dot: None,
-            json: false,
-            push: None,
-            threads: 1,
-            profile: false,
-            profile_out: None,
-        })
+        let out = run(&[
+            "query",
+            "--graph",
+            s(&g),
+            "--queries",
+            "0,30",
+            "--type",
+            "or",
+            "--budget",
+            "5",
+        ])
         .unwrap();
         assert!(out.contains("OR query"));
     }
@@ -1404,20 +1257,22 @@ mod tests {
         let dir = test_dir("json");
         let (g, l) = generated(&dir);
         let dot_path = dir.join("out.dot");
-        let out = execute(Command::Query {
-            graph: g,
-            labels: Some(l),
-            queries: "0,30".into(),
-            query_type: QueryType::SoftAnd(1),
-            budget: 4,
-            alpha: 0.5,
-            dot: Some(dot_path.clone()),
-            json: true,
-            push: None,
-            threads: 1,
-            profile: false,
-            profile_out: None,
-        })
+        let out = run(&[
+            "query",
+            "--graph",
+            s(&g),
+            "--labels",
+            s(&l),
+            "--queries",
+            "0,30",
+            "--type",
+            "softand:1",
+            "--budget",
+            "4",
+            "--dot",
+            s(&dot_path),
+            "--json",
+        ])
         .unwrap();
         let doc: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(doc["query_type"], "1_softAND");
@@ -1432,20 +1287,20 @@ mod tests {
         let dir = test_dir("profile");
         let (g, l) = generated(&dir);
         let profile_path = dir.join("obs_profile.json");
-        let out = execute(Command::Query {
-            graph: g,
-            labels: Some(l),
-            queries: "0,30".into(),
-            query_type: QueryType::And,
-            budget: 5,
-            alpha: 0.5,
-            dot: None,
-            json: false,
-            push: None,
-            threads: 1,
-            profile: true,
-            profile_out: Some(profile_path.clone()),
-        })
+        let out = run(&[
+            "query",
+            "--graph",
+            s(&g),
+            "--labels",
+            s(&l),
+            "--queries",
+            "0,30",
+            "--budget",
+            "5",
+            "--profile",
+            "--profile-out",
+            s(&profile_path),
+        ])
         .unwrap();
         assert!(out.contains("profile: end-to-end"));
         assert!(out.contains("stage.individual_scores"));
@@ -1464,12 +1319,17 @@ mod tests {
         let dir = test_dir("partition");
         let (g, _) = generated(&dir);
         let out_path = dir.join("parts.txt");
-        let msg = execute(Command::Partition {
-            graph: g,
-            parts: 4,
-            seed: 1,
-            out: out_path.clone(),
-        })
+        let msg = run(&[
+            "partition",
+            "--graph",
+            s(&g),
+            "--parts",
+            "4",
+            "--seed",
+            "1",
+            "--out",
+            s(&out_path),
+        ])
         .unwrap();
         assert!(msg.contains("4 parts"));
         let text = fs::read_to_string(out_path).unwrap();
@@ -1480,20 +1340,15 @@ mod tests {
     fn unknown_author_is_a_clean_error() {
         let dir = test_dir("unknown");
         let (g, l) = generated(&dir);
-        let err = execute(Command::Query {
-            graph: g,
-            labels: Some(l),
-            queries: "Nobody Atall".into(),
-            query_type: QueryType::And,
-            budget: 5,
-            alpha: 0.5,
-            dot: None,
-            json: false,
-            push: None,
-            threads: 1,
-            profile: false,
-            profile_out: None,
-        })
+        let err = run(&[
+            "query",
+            "--graph",
+            s(&g),
+            "--labels",
+            s(&l),
+            "--queries",
+            "Nobody Atall",
+        ])
         .unwrap_err();
         assert!(err.0.contains("unknown author"));
     }
@@ -1502,13 +1357,15 @@ mod tests {
     fn autok_reports_k_and_ranks() {
         let dir = test_dir("autok");
         let (g, l) = generated(&dir);
-        let out = execute(Command::AutoK {
-            graph: g,
-            labels: Some(l),
-            queries: "0,1,2".into(),
-            alpha: 0.5,
-            threads: 1,
-        })
+        let out = run(&[
+            "autok",
+            "--graph",
+            s(&g),
+            "--labels",
+            s(&l),
+            "--queries",
+            "0,1,2",
+        ])
         .unwrap();
         assert!(out.contains("inferred K_softAND"));
         assert!(out.contains("k' = 1"));
@@ -1526,27 +1383,28 @@ mod tests {
         .unwrap();
         let g = dir.join("imported.txt");
         let l = dir.join("imported_labels.txt");
-        let msg = execute(Command::Import {
-            pairs,
-            out: g.clone(),
-            labels_out: l.clone(),
-        })
+        let msg = run(&[
+            "import",
+            "--pairs",
+            s(&pairs),
+            "--out",
+            s(&g),
+            "--labels-out",
+            s(&l),
+        ])
         .unwrap();
         assert!(msg.contains("3 authors"));
-        let out = execute(Command::Query {
-            graph: g,
-            labels: Some(l),
-            queries: "Charles Babbage,Luigi Menabrea".into(),
-            query_type: QueryType::And,
-            budget: 2,
-            alpha: 0.5,
-            dot: None,
-            json: false,
-            push: None,
-            threads: 1,
-            profile: false,
-            profile_out: None,
-        })
+        let out = run(&[
+            "query",
+            "--graph",
+            s(&g),
+            "--labels",
+            s(&l),
+            "--queries",
+            "Charles Babbage,Luigi Menabrea",
+            "--budget",
+            "2",
+        ])
         .unwrap();
         assert!(out.contains("Ada Lovelace"), "center-piece missing: {out}");
     }
@@ -1556,59 +1414,45 @@ mod tests {
         let _guard = recorder_lock();
         let dir = test_dir("serve");
         let (g, _) = generated(&dir);
-        let out = execute(Command::Serve {
-            graph: g.clone(),
-            requests: 10,
-            queries_per: 2,
-            workers: 2,
-            repeat: 0.8,
-            budget: 4,
-            alpha: 0.5,
-            cache_mb: 16,
-            coalesce_us: 0,
-            coalesce_batch: 32,
-            warm_frac: 0.0,
-            seed: 1,
-            threads: 1,
-            json: false,
-            profile: false,
-            profile_out: None,
-            metrics_out: None,
-            metrics_interval_ms: 500,
-            trace_out: None,
-            trace_sample: 1.0,
-            listen: None,
-            flight_out: None,
-        })
-        .unwrap();
+        let base = [
+            "serve",
+            "--graph",
+            s(&g),
+            "--queries-per",
+            "2",
+            "--budget",
+            "4",
+            "--seed",
+            "1",
+        ];
+        let mut args = base.to_vec();
+        args.extend([
+            "--requests",
+            "10",
+            "--workers",
+            "2",
+            "--repeat",
+            "0.8",
+            "--cache-mb",
+            "16",
+        ]);
+        let out = run(&args).unwrap();
         assert!(out.contains("served 10 requests"));
         assert!(out.contains("cache:"), "missing cache line: {out}");
 
-        let out = execute(Command::Serve {
-            graph: g,
-            requests: 6,
-            queries_per: 2,
-            workers: 1,
-            repeat: 0.0,
-            budget: 4,
-            alpha: 0.5,
-            cache_mb: 0,
-            coalesce_us: 0,
-            coalesce_batch: 32,
-            warm_frac: 0.0,
-            seed: 1,
-            threads: 1,
-            json: true,
-            profile: false,
-            profile_out: None,
-            metrics_out: None,
-            metrics_interval_ms: 500,
-            trace_out: None,
-            trace_sample: 1.0,
-            listen: None,
-            flight_out: None,
-        })
-        .unwrap();
+        let mut args = base.to_vec();
+        args.extend([
+            "--requests",
+            "6",
+            "--workers",
+            "1",
+            "--repeat",
+            "0",
+            "--cache-mb",
+            "0",
+            "--json",
+        ]);
+        let out = run(&args).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(doc["requests"], 6);
         // Cache disabled: no hit rate exists, reported as null (not 0.0).
@@ -1621,89 +1465,20 @@ mod tests {
         let _guard = recorder_lock();
         let dir = test_dir("listen");
         let (g, _) = generated(&dir);
-        let sock = dir.join("cli.sock");
-        let _ = fs::remove_file(&sock);
-        let addr = sock.display().to_string();
+        let (addr, server) = listening(&dir, &g, &[]);
+        let client = |action: &[&str]| {
+            let mut args = vec!["client", "--connect", &addr, "--timeout", "10000"];
+            args.extend_from_slice(action);
+            run(&args).unwrap_or_else(|e| panic!("client {action:?}: {e}"))
+        };
 
-        let server = std::thread::spawn({
-            let g = g.clone();
-            let addr = addr.clone();
-            move || {
-                execute(Command::Serve {
-                    graph: g,
-                    requests: 0,
-                    queries_per: 2,
-                    workers: 2,
-                    repeat: 0.5,
-                    budget: 4,
-                    alpha: 0.5,
-                    cache_mb: 16,
-                    coalesce_us: 0,
-                    coalesce_batch: 32,
-                    warm_frac: 0.0,
-                    seed: 1,
-                    threads: 1,
-                    json: false,
-                    profile: false,
-                    profile_out: None,
-                    metrics_out: None,
-                    metrics_interval_ms: 500,
-                    trace_out: None,
-                    trace_sample: 1.0,
-                    listen: Some(addr),
-                    flight_out: None,
-                })
-                .unwrap()
-            }
-        });
-        // Wait for the socket to appear.
-        for _ in 0..200 {
-            if sock.exists() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-
-        let out = execute(Command::Client {
-            connect: addr.clone(),
-            action: ClientAction::Ping,
-            json: false,
-            timeout_ms: 5_000,
-            trace_out: None,
-        })
-        .unwrap();
-        assert!(out.contains("ceps-wire/v1"), "{out}");
-
-        let out = execute(Command::Client {
-            connect: addr.clone(),
-            action: ClientAction::Query("0,30".into()),
-            json: true,
-            timeout_ms: 10_000,
-            trace_out: None,
-        })
-        .unwrap();
+        assert!(client(&["--ping"]).contains("ceps-wire/v1"));
+        let out = client(&["--queries", "0,30", "--json"]);
         let doc: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert!(!doc["members"].as_array().unwrap().is_empty());
-
-        let out = execute(Command::Client {
-            connect: addr.clone(),
-            action: ClientAction::Stats,
-            json: false,
-            timeout_ms: 5_000,
-            trace_out: None,
-        })
-        .unwrap();
+        let out = client(&["--stats"]);
         assert!(out.contains("1 queries"), "{out}");
-
-        let out = execute(Command::Client {
-            connect: addr,
-            action: ClientAction::Shutdown,
-            json: false,
-            timeout_ms: 5_000,
-            trace_out: None,
-        })
-        .unwrap();
-        assert!(out.contains("server drained"));
+        assert!(client(&["--shutdown"]).contains("server drained"));
 
         let summary = server.join().unwrap();
         assert!(summary.contains("server drained after"), "{summary}");
@@ -1715,68 +1490,38 @@ mod tests {
         let _guard = recorder_lock();
         let dir = test_dir("loadgen");
         let (g, _) = generated(&dir);
-        let sock = dir.join("cli.sock");
-        let _ = fs::remove_file(&sock);
-        let addr = sock.display().to_string();
-
-        let server = std::thread::spawn({
-            let g = g.clone();
-            let addr = addr.clone();
-            move || {
-                execute(Command::Serve {
-                    graph: g,
-                    requests: 0,
-                    queries_per: 2,
-                    workers: 2,
-                    repeat: 0.5,
-                    budget: 4,
-                    alpha: 0.5,
-                    cache_mb: 16,
-                    coalesce_us: 0,
-                    coalesce_batch: 32,
-                    warm_frac: 0.0,
-                    seed: 1,
-                    threads: 1,
-                    json: false,
-                    profile: false,
-                    profile_out: None,
-                    metrics_out: None,
-                    metrics_interval_ms: 500,
-                    trace_out: None,
-                    trace_sample: 1.0,
-                    listen: Some(addr),
-                    flight_out: None,
-                })
-                .unwrap()
-            }
-        });
-        for _ in 0..200 {
-            if sock.exists() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        let (addr, server) = listening(&dir, &g, &[]);
 
         let out_path = dir.join("loadgen-report.json");
-        let out = execute(Command::Loadgen {
-            connect: addr.clone(),
-            rps: 40.0,
-            duration_s: 1.0,
-            warmup_s: 0.2,
-            arrival: ceps_load::ArrivalKind::Constant,
-            connections: 2,
-            queries_per: 2,
-            node_space: 100,
-            repeat: 0.5,
-            mix: ceps_load::MixKind::Uniform,
-            pool_size: ceps_load::DEFAULT_HOT_POOL,
-            seed: 7,
-            slo_p99_ms: 60_000.0,
-            max_error_rate: 0.0,
-            search: false,
-            json: false,
-            out: Some(out_path.clone()),
-        })
+        let out = run(&[
+            "loadgen",
+            "--connect",
+            &addr,
+            "--rps",
+            "40",
+            "--duration",
+            "1",
+            "--warmup",
+            "0.2",
+            "--arrival",
+            "constant",
+            "--connections",
+            "2",
+            "--queries-per",
+            "2",
+            "--nodes",
+            "100",
+            "--repeat",
+            "0.5",
+            "--seed",
+            "7",
+            "--slo-p99-ms",
+            "60000",
+            "--max-error-rate",
+            "0",
+            "--out",
+            s(&out_path),
+        ])
         .unwrap();
         assert!(out.contains("achieved"), "{out}");
         assert!(out.contains("slo (p99 <= 60000 ms"), "{out}");
@@ -1790,14 +1535,7 @@ mod tests {
         assert_eq!(doc["measure"]["sheds"], 0);
         assert!(doc["achieved_rps"].as_f64().unwrap() > 0.0);
 
-        let out = execute(Command::Client {
-            connect: addr,
-            action: ClientAction::Shutdown,
-            json: false,
-            timeout_ms: 5_000,
-            trace_out: None,
-        })
-        .unwrap();
+        let out = run(&["client", "--connect", &addr, "--shutdown"]).unwrap();
         assert!(out.contains("server drained"));
         let summary = server.join().unwrap();
         assert!(summary.contains("queue p50"), "{summary}");
@@ -1808,86 +1546,39 @@ mod tests {
         let _guard = recorder_lock();
         let dir = test_dir("traced");
         let (g, _) = generated(&dir);
-        let sock = dir.join("cli.sock");
         let server_traces = dir.join("server-traces.jsonl");
         let client_traces = dir.join("client-traces.jsonl");
         let flight = dir.join("flight.jsonl");
-        for p in [&sock, &server_traces, &client_traces, &flight] {
+        for p in [&server_traces, &client_traces, &flight] {
             let _ = fs::remove_file(p);
         }
-        let addr = sock.display().to_string();
+        let (addr, server) = listening(
+            &dir,
+            &g,
+            &["--trace-out", s(&server_traces), "--flight-out", s(&flight)],
+        );
 
-        let server = std::thread::spawn({
-            let g = g.clone();
-            let addr = addr.clone();
-            let server_traces = server_traces.clone();
-            let flight = flight.clone();
-            move || {
-                execute(Command::Serve {
-                    graph: g,
-                    requests: 0,
-                    queries_per: 2,
-                    workers: 2,
-                    repeat: 0.5,
-                    budget: 4,
-                    alpha: 0.5,
-                    cache_mb: 16,
-                    coalesce_us: 0,
-                    coalesce_batch: 32,
-                    warm_frac: 0.0,
-                    seed: 1,
-                    threads: 1,
-                    json: false,
-                    profile: false,
-                    profile_out: None,
-                    metrics_out: None,
-                    metrics_interval_ms: 500,
-                    trace_out: Some(server_traces),
-                    trace_sample: 1.0,
-                    listen: Some(addr),
-                    flight_out: Some(flight),
-                })
-                .unwrap()
-            }
-        });
-        for _ in 0..200 {
-            if sock.exists() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-
-        let out = execute(Command::Client {
-            connect: addr.clone(),
-            action: ClientAction::Query("0,30".into()),
-            json: false,
-            timeout_ms: 10_000,
-            trace_out: Some(client_traces.clone()),
-        })
+        let out = run(&[
+            "client",
+            "--connect",
+            &addr,
+            "--queries",
+            "0,30",
+            "--timeout",
+            "10000",
+            "--trace-out",
+            s(&client_traces),
+        ])
         .unwrap();
         assert!(out.contains("client traces written to"), "{out}");
 
-        let dump = execute(Command::Client {
-            connect: addr.clone(),
-            action: ClientAction::DumpFlight,
-            json: true,
-            timeout_ms: 5_000,
-            trace_out: None,
-        })
-        .unwrap();
+        let dump = run(&["client", "--connect", &addr, "--dump-flight", "--json"]).unwrap();
         assert!(
             dump.contains("\"schema\": \"ceps-flight/v1\""),
             "--flight-out must have enabled the recorder: {dump}"
         );
 
-        let out = execute(Command::Client {
-            connect: addr,
-            action: ClientAction::Shutdown,
-            json: false,
-            timeout_ms: 5_000,
-            trace_out: None,
-        })
-        .unwrap();
+        let out = run(&["client", "--connect", &addr, "--shutdown"]).unwrap();
         assert!(out.contains("server drained"));
         let summary = server.join().unwrap();
         assert!(summary.contains("windowed latency p50"), "{summary}");
@@ -1933,30 +1624,31 @@ mod tests {
         let events = dir.join("serve_metrics.jsonl");
         let traces = dir.join("serve_traces.jsonl");
         let _ = fs::remove_file(&events);
-        let out = execute(Command::Serve {
-            graph: g,
-            requests: 8,
-            queries_per: 2,
-            workers: 2,
-            repeat: 0.8,
-            budget: 4,
-            alpha: 0.5,
-            cache_mb: 16,
-            coalesce_us: 0,
-            coalesce_batch: 32,
-            warm_frac: 0.0,
-            seed: 1,
-            threads: 1,
-            json: false,
-            profile: false,
-            profile_out: None,
-            metrics_out: Some(prom.clone()),
-            metrics_interval_ms: 20,
-            trace_out: Some(traces.clone()),
-            trace_sample: 1.0,
-            listen: None,
-            flight_out: None,
-        })
+        let out = run(&[
+            "serve",
+            "--graph",
+            s(&g),
+            "--requests",
+            "8",
+            "--queries-per",
+            "2",
+            "--workers",
+            "2",
+            "--repeat",
+            "0.8",
+            "--budget",
+            "4",
+            "--cache-mb",
+            "16",
+            "--seed",
+            "1",
+            "--metrics-out",
+            s(&prom),
+            "--metrics-interval",
+            "20",
+            "--trace-out",
+            s(&traces),
+        ])
         .unwrap();
         assert!(out.contains("metrics written to"));
         assert!(out.contains("traces written to"));

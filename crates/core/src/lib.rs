@@ -66,7 +66,7 @@ pub mod serve;
 pub mod telemetry;
 
 pub use auto_k::{infer_soft_and_k, KInference};
-pub use ceps_rwr::{CoalesceConfig, CoalesceStats};
+pub use ceps_rwr::CoalesceStats;
 pub use config::{CepsConfig, CombineMethod, ScoreMethod};
 pub use error::CepsError;
 pub use extract::{ExtractOutcome, KeyPath, SharingRule};

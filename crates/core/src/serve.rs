@@ -44,8 +44,8 @@ use std::time::Instant;
 use ceps_graph::{IntoSharedGraph, NodeId};
 use ceps_obs::TraceContext;
 use ceps_rwr::{
-    row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceConfig, CoalesceStats,
-    Coalescer, RwrRowCache, ScoreMatrix,
+    row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceStats, Coalescer,
+    RwrRowCache, ScoreMatrix,
 };
 
 use crate::pipeline::{CepsEngine, CepsResult, StageTimes};
@@ -157,16 +157,14 @@ impl ServeReply {
 /// let service = CepsServiceBuilder::new()
 ///     .cache_bytes(16 << 20)
 ///     .shards(4)
-///     .workers(2)
 ///     .build(engine);
-/// assert_eq!(service.workers(), 2);
+/// assert!(service.cache_stats().is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct CepsServiceBuilder {
     cache_bytes: usize,
     shards: Option<usize>,
-    workers: usize,
-    coalesce: CoalesceConfig,
+    coalesce_us: u64,
 }
 
 impl Default for CepsServiceBuilder {
@@ -174,15 +172,14 @@ impl Default for CepsServiceBuilder {
         CepsServiceBuilder {
             cache_bytes: DEFAULT_CACHE_BYTES,
             shards: None,
-            workers: 1,
-            coalesce: CoalesceConfig::default(),
+            coalesce_us: 0,
         }
     }
 }
 
 impl CepsServiceBuilder {
     /// Starts from the defaults: a [`DEFAULT_CACHE_BYTES`] cache with the
-    /// default shard count, one worker.
+    /// default shard count, no coalescing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -206,21 +203,13 @@ impl CepsServiceBuilder {
         self
     }
 
-    /// Sets the service's default worker count, used by serving harnesses
-    /// (`ceps-net`'s server, stream replay) when not told otherwise.
-    /// Clamped to at least 1 at build time.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the miss-coalescing window (see [`CoalesceConfig`]): concurrent
-    /// requests pool their cache misses for up to `window_us` and solve
-    /// them through one wide batched backend call. The default config is
-    /// **off** (`window_us == 0`); coalescing also requires a cache
+    /// Sets the miss-coalescing window (see [`Coalescer`]): concurrent
+    /// requests pool their cache misses for up to `window_us`
+    /// microseconds and solve them through one wide batched backend call.
+    /// The default is **off** (`0`); coalescing also requires a cache
     /// (ignored under [`uncached`](CepsServiceBuilder::uncached)).
-    pub fn coalesce(mut self, cfg: CoalesceConfig) -> Self {
-        self.coalesce = cfg;
+    pub fn coalesce_us(mut self, window_us: u64) -> Self {
+        self.coalesce_us = window_us;
         self
     }
 
@@ -234,14 +223,13 @@ impl CepsServiceBuilder {
                 None => RwrRowCache::new(self.cache_bytes),
             }))
         };
-        let coalesce = (cache.is_some() && self.coalesce.enabled())
-            .then(|| Arc::new(Coalescer::new(self.coalesce)));
+        let coalesce = (cache.is_some() && self.coalesce_us > 0)
+            .then(|| Arc::new(Coalescer::new(self.coalesce_us)));
         CepsService {
             engine,
             cache,
             coalesce,
             warm_rows: Arc::new(AtomicU64::new(0)),
-            workers: self.workers.max(1),
         }
     }
 
@@ -271,16 +259,9 @@ pub struct CepsService {
     coalesce: Option<Arc<Coalescer>>,
     /// Rows pre-solved by [`CepsService::warm`], shared across clones.
     warm_rows: Arc<AtomicU64>,
-    workers: usize,
 }
 
 impl CepsService {
-    /// The default worker count serving harnesses should fan this service
-    /// over (set via [`CepsServiceBuilder::workers`], at least 1).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The unified request/response entry point: answers one
     /// [`ServeRequest`] with a [`ServeReply`]. This is exactly the path
     /// the `ceps-net` wire protocol drives — byte-identical replies
@@ -1084,10 +1065,7 @@ mod tests {
             .build(e.clone());
         let coalesced = CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
-            .coalesce(CoalesceConfig {
-                window_us: 300,
-                max_batch: 8,
-            })
+            .coalesce_us(300)
             .build(e);
         let stream: Vec<Vec<NodeId>> = (0..10)
             .map(|i| vec![NodeId(i % 15), NodeId((i + 6) % 15)])
@@ -1148,24 +1126,5 @@ mod tests {
         // PartialEq on f64 fields: bitwise equality of every score must
         // survive the text round-trip (shortest-round-trip formatting).
         assert_eq!(reply, reply2);
-    }
-
-    #[test]
-    fn builder_workers_pass_through() {
-        assert_eq!(CepsServiceBuilder::new().build(engine()).workers(), 1);
-        assert_eq!(
-            CepsServiceBuilder::new()
-                .workers(0)
-                .build(engine())
-                .workers(),
-            1
-        );
-        assert_eq!(
-            CepsServiceBuilder::new()
-                .workers(7)
-                .build(engine())
-                .workers(),
-            7
-        );
     }
 }

@@ -29,6 +29,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use ceps_obs::{json_f64, json_str};
+
 use crate::pipeline::StageTimes;
 
 /// Observations the tail-sampler's histogram needs before its p99 estimate
@@ -200,13 +202,6 @@ impl RequestTracer {
 /// Serializes one kept request as a single-line `ceps-trace/v1` object.
 pub fn trace_json(trace: &RequestTrace, kind: SampleKind) -> String {
     let mut out = String::with_capacity(256);
-    let num = |v: f64| {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "0".to_string()
-        }
-    };
     let _ = write!(
         out,
         "{{\"schema\": \"ceps-trace/v1\", \"request_id\": {}, \"worker\": {}, \
@@ -216,11 +211,11 @@ pub fn trace_json(trace: &RequestTrace, kind: SampleKind) -> String {
         trace.request_id,
         trace.worker,
         trace.queries,
-        num(trace.latency_ms),
-        num(trace.queue_ms),
-        num(trace.stages.scores_ms),
-        num(trace.stages.combine_ms),
-        num(trace.stages.extract_ms),
+        json_f64(trace.latency_ms),
+        json_f64(trace.queue_ms),
+        json_f64(trace.stages.scores_ms),
+        json_f64(trace.stages.combine_ms),
+        json_f64(trace.stages.extract_ms),
         trace.cache_hits,
         trace.cache_misses,
         trace.budget,
@@ -229,33 +224,12 @@ pub fn trace_json(trace: &RequestTrace, kind: SampleKind) -> String {
         if trace.error.is_none() { "ok" } else { "error" },
     );
     if let Some(msg) = &trace.error {
-        let _ = write!(out, ", \"error\": {}", json_escape(msg));
+        let _ = write!(out, ", \"error\": {}", json_str(msg));
     }
     if let Some(id) = trace.trace_id {
         let _ = write!(out, ", \"trace_id\": \"{}\"", ceps_obs::id_hex(id));
     }
     out.push('}');
-    out
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -3,8 +3,8 @@
 //! concurrent coalesced serving.
 
 use ceps_core::{
-    infer_soft_and_k, CepsConfig, CepsEngine, CepsServiceBuilder, CoalesceConfig, QueryType,
-    ServeReply, ServeRequest,
+    infer_soft_and_k, CepsConfig, CepsEngine, CepsServiceBuilder, QueryType, ServeReply,
+    ServeRequest,
 };
 use ceps_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -154,8 +154,7 @@ proptest! {
 
         let service = CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
-            .coalesce(CoalesceConfig { window_us, max_batch: 8 })
-            .workers(workers)
+            .coalesce_us(window_us)
             .build(engine);
         service.warm((1usize << 20) * warm_pct / 100).unwrap();
 

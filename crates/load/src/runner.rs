@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use ceps_core::ServeRequest;
 use ceps_net::{CepsClient, Reply, WireErrorKind};
+use ceps_obs::json_f64;
 
 use crate::schedule::{arrival_schedule, ArrivalKind, MixKind, QueryMix, DEFAULT_HOT_POOL};
 
@@ -180,14 +181,6 @@ pub struct LoadReport {
     pub measure: PhaseReport,
 }
 
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 fn phase_json(p: &PhaseReport) -> String {
     format!(
         "{{\"count\": {}, \"ok\": {}, \"sheds\": {}, \"errors\": {}, \
@@ -197,12 +190,12 @@ fn phase_json(p: &PhaseReport) -> String {
         p.ok,
         p.sheds,
         p.errors,
-        num(p.p50_ms),
-        num(p.p90_ms),
-        num(p.p99_ms),
-        num(p.p999_ms),
-        num(p.max_ms),
-        num(p.mean_ms),
+        json_f64(p.p50_ms),
+        json_f64(p.p90_ms),
+        json_f64(p.p99_ms),
+        json_f64(p.p999_ms),
+        json_f64(p.max_ms),
+        json_f64(p.mean_ms),
     )
 }
 
@@ -216,10 +209,10 @@ impl LoadReport {
              \"warmup_s\": {}, \"connections\": {}, \"scheduled\": {}, \
              \"warmup\": {}, \"measure\": {}}}",
             self.arrival,
-            num(self.offered_rps),
-            num(self.achieved_rps),
-            num(self.duration_s),
-            num(self.warmup_s),
+            json_f64(self.offered_rps),
+            json_f64(self.achieved_rps),
+            json_f64(self.duration_s),
+            json_f64(self.warmup_s),
             self.connections,
             self.scheduled,
             phase_json(&self.warmup),

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use ceps_core::{ServeReply, ServeRequest};
 use ceps_graph::NodeId;
-use ceps_obs::{id_hex, TraceContext};
+use ceps_obs::{id_hex, json_f64, TraceContext};
 
 use crate::error::NetError;
 use crate::server::ServerStats;
@@ -206,11 +206,7 @@ impl CepsClient {
                 "{{\"schema\": \"ceps-trace/v1\", \"side\": \"client\", \"request_id\": {}, \
                  \"latency_ms\": {}, \"outcome\": \"{}\", \"trace_id\": \"{}\"}}",
                 reply.id(),
-                if latency_ms.is_finite() {
-                    latency_ms
-                } else {
-                    0.0
-                },
+                json_f64(latency_ms),
                 outcome,
                 id_hex(trace_id),
             );

@@ -48,41 +48,36 @@ use ceps_core::{infer_soft_and_k, CepsService, RequestOrigin, RequestTracer, Ser
 use ceps_obs::{counter, flight_note, nearest_rank, record, FlightKind, TraceContext};
 
 use crate::transport::{Conn, Transport};
-use crate::wire::{Framed, Reply, Request, WireError, WireErrorKind, WireTrace, WIRE_VERSION};
+use crate::wire::{
+    Framed, Reply, Request, WireError, WireErrorKind, WireTrace, DEFAULT_MAX_FRAME_BYTES,
+    WIRE_VERSION,
+};
 
 /// Tuning knobs for [`CepsServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Connection-handling worker threads; `0` means "match the owned
-    /// service's worker count".
+    /// Connection-handling worker threads (at least 1).
     pub workers: usize,
-    /// Maximum accepted frame payload in bytes.
-    pub max_frame_bytes: usize,
-    /// Close a connection after this many milliseconds without a frame;
-    /// `0` disables idle reaping.
-    pub idle_timeout_ms: u64,
-    /// Write deadline per reply frame in milliseconds; `0` disables.
-    pub write_timeout_ms: u64,
     /// Maximum queries executing at once before `Overloaded` sheds kick
     /// in; `0` means "match the worker count".
     pub max_in_flight: usize,
-    /// How long each accept poll waits before re-checking for shutdown,
-    /// in milliseconds.
-    pub accept_poll_ms: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 0,
-            max_frame_bytes: crate::wire::DEFAULT_MAX_FRAME_BYTES,
-            idle_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
+            workers: 1,
             max_in_flight: 0,
-            accept_poll_ms: 250,
         }
     }
 }
+
+/// A connection is closed after this long without a frame.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Write deadline per reply frame.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long each accept poll waits before re-checking for shutdown.
+const ACCEPT_POLL: Duration = Duration::from_millis(250);
 
 /// Admission control: a counting gate over concurrently executing
 /// queries. Public so tests can saturate it deterministically and assert
@@ -300,13 +295,8 @@ pub struct CepsServer {
 impl CepsServer {
     /// Wraps `service` with the given tuning.
     pub fn new(service: CepsService, config: ServerConfig) -> Self {
-        let workers = if config.workers == 0 {
-            service.workers()
-        } else {
-            config.workers
-        };
         let cap = if config.max_in_flight == 0 {
-            workers
+            config.workers
         } else {
             config.max_in_flight
         };
@@ -449,24 +439,19 @@ impl CepsServer {
     /// Fatal listener errors from the transport. Per-connection errors
     /// are counted and logged, never fatal.
     pub fn serve(&self, transport: &mut dyn Transport) -> io::Result<ServerStats> {
-        let workers = if self.config.workers == 0 {
-            self.service.workers()
-        } else {
-            self.config.workers
-        };
-        let queue = ConnQueue::new(workers.max(1) * 2);
-        let poll = Duration::from_millis(self.config.accept_poll_ms.max(1));
+        let workers = self.config.workers.max(1);
+        let queue = ConnQueue::new(workers * 2);
         ceps_obs::info!(
             "ceps-net: serving on {} ({} workers, cap {})",
             transport.addr(),
-            workers.max(1),
+            workers,
             self.admission.cap()
         );
 
         let mut accept_err = None;
         std::thread::scope(|s| {
             let queue = &queue;
-            for worker in 0..workers.max(1) {
+            for worker in 0..workers {
                 s.spawn(move || {
                     while let Some(conn) = queue.pop(&self.stop) {
                         self.handle_conn(conn, worker);
@@ -474,7 +459,7 @@ impl CepsServer {
                 });
             }
             while !self.stop.load(Ordering::Acquire) {
-                match transport.accept_timeout(poll) {
+                match transport.accept_timeout(ACCEPT_POLL) {
                     Ok(Some(conn)) => {
                         self.counters.connections.fetch_add(1, Ordering::Relaxed);
                         counter("net.connections_total", 1);
@@ -502,18 +487,10 @@ impl CepsServer {
     fn handle_conn(&self, conn: Box<dyn Conn>, worker: usize) {
         let read_slice = Duration::from_millis(250);
         let _ = conn.set_read_timeout(Some(read_slice));
-        let write_timeout = match self.config.write_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        let _ = conn.set_write_timeout(write_timeout);
+        let _ = conn.set_write_timeout(Some(WRITE_TIMEOUT));
         let peer = conn.peer();
-        let idle_cap = match self.config.idle_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
 
-        let mut framed = Framed::new(conn, self.config.max_frame_bytes);
+        let mut framed = Framed::new(conn, DEFAULT_MAX_FRAME_BYTES);
         let mut last_activity = Instant::now();
         loop {
             if self.stop.load(Ordering::Acquire) {
@@ -524,11 +501,9 @@ impl CepsServer {
                 Ok(Some(req)) => req,
                 Ok(None) => return, // clean EOF
                 Err(e) if e.is_timeout() => {
-                    if let Some(cap) = idle_cap {
-                        if last_activity.elapsed() > cap {
-                            ceps_obs::debug!("ceps-net: reaping idle connection from {peer}");
-                            return;
-                        }
+                    if last_activity.elapsed() > IDLE_TIMEOUT {
+                        ceps_obs::debug!("ceps-net: reaping idle connection from {peer}");
+                        return;
                     }
                     continue;
                 }
@@ -727,9 +702,17 @@ mod tests {
         }
         CepsServiceBuilder::new()
             .cache_bytes(1 << 20)
-            .workers(2)
             .build_from_graph(b.build().unwrap(), CepsConfig::default().budget(3))
             .unwrap()
+    }
+
+    /// Two connection workers, admission capped at `max_in_flight`
+    /// (`0` = the worker count).
+    fn config(max_in_flight: usize) -> ServerConfig {
+        ServerConfig {
+            workers: 2,
+            max_in_flight,
+        }
     }
 
     #[test]
@@ -748,7 +731,7 @@ mod tests {
 
     #[test]
     fn server_answers_ping_stats_query_and_drains_on_shutdown() {
-        let server = CepsServer::new(test_service(), ServerConfig::default());
+        let server = CepsServer::new(test_service(), config(0));
         let (mut transport, connector) = in_proc();
         let stats = std::thread::scope(|s| {
             let server = &server;
@@ -777,9 +760,7 @@ mod tests {
 
     #[test]
     fn saturated_admission_sheds_with_overloaded() {
-        let mut config = ServerConfig::default();
-        config.max_in_flight = 1;
-        let server = CepsServer::new(test_service(), config);
+        let server = CepsServer::new(test_service(), config(1));
         let (mut transport, connector) = in_proc();
         std::thread::scope(|s| {
             let server = &server;
@@ -807,7 +788,7 @@ mod tests {
 
     #[test]
     fn bad_queries_get_structured_bad_request() {
-        let server = CepsServer::new(test_service(), ServerConfig::default());
+        let server = CepsServer::new(test_service(), config(0));
         let (mut transport, connector) = in_proc();
         std::thread::scope(|s| {
             let server = &server;
@@ -848,7 +829,7 @@ mod tests {
 
     #[test]
     fn stats_snapshot_carries_percentiles_and_cache_counters() {
-        let server = CepsServer::new(test_service(), ServerConfig::default());
+        let server = CepsServer::new(test_service(), config(0));
         let (mut transport, connector) = in_proc();
         std::thread::scope(|s| {
             let server = &server;
@@ -872,7 +853,7 @@ mod tests {
     #[test]
     fn queue_delay_is_attributed_in_stats_and_trace_lines() {
         let sink = SharedBuf::default();
-        let server = CepsServer::new(test_service(), ServerConfig::default())
+        let server = CepsServer::new(test_service(), config(0))
             .with_tracer(RequestTracer::new(Box::new(sink.clone()), 1.0));
         let (mut transport, connector) = in_proc();
         std::thread::scope(|s| {
@@ -908,7 +889,7 @@ mod tests {
         // drain-returned snapshot on every field that cannot legitimately
         // advance between the two calls (uptime ticks on, and the
         // shutdown itself adds frames).
-        let server = CepsServer::new(test_service(), ServerConfig::default());
+        let server = CepsServer::new(test_service(), config(0));
         let (mut transport, connector) = in_proc();
         let (wire_stats, drained) = std::thread::scope(|s| {
             let server = &server;
@@ -941,7 +922,7 @@ mod tests {
     #[test]
     fn traced_queries_share_one_trace_id_across_client_and_server_lines() {
         let server_sink = SharedBuf::default();
-        let server = CepsServer::new(test_service(), ServerConfig::default())
+        let server = CepsServer::new(test_service(), config(0))
             .with_tracer(RequestTracer::new(Box::new(server_sink.clone()), 1.0));
         let client_sink = SharedBuf::default();
         let (mut transport, connector) = in_proc();
@@ -976,9 +957,7 @@ mod tests {
     #[test]
     fn dump_flight_returns_the_ring_over_the_wire() {
         ceps_obs::flight_enable(64);
-        let mut config = ServerConfig::default();
-        config.max_in_flight = 1;
-        let server = CepsServer::new(test_service(), config);
+        let server = CepsServer::new(test_service(), config(1));
         let (mut transport, connector) = in_proc();
         std::thread::scope(|s| {
             let server = &server;
@@ -1007,21 +986,14 @@ mod tests {
 
     #[test]
     fn coalesced_warmed_server_matches_plain_and_reports_health() {
-        use ceps_core::CoalesceConfig;
-
         let build = |coalesce: bool| {
             let mut b = GraphBuilder::new();
             for (x, y) in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)] {
                 b.add_edge(NodeId(x), NodeId(y), 1.0).unwrap();
             }
-            let mut builder = CepsServiceBuilder::new().cache_bytes(1 << 20).workers(3);
-            if coalesce {
-                builder = builder.coalesce(CoalesceConfig {
-                    window_us: 2_000,
-                    max_batch: 8,
-                });
-            }
-            builder
+            CepsServiceBuilder::new()
+                .cache_bytes(1 << 20)
+                .coalesce_us(if coalesce { 2_000 } else { 0 })
                 .build_from_graph(b.build().unwrap(), CepsConfig::default().budget(3))
                 .unwrap()
         };
@@ -1031,7 +1003,13 @@ mod tests {
         let warm_rows = service.serve_health().warm_rows;
         assert!(warm_rows > 0, "warming must pre-solve rows");
 
-        let server = CepsServer::new(service, ServerConfig::default());
+        let server = CepsServer::new(
+            service,
+            ServerConfig {
+                workers: 3,
+                max_in_flight: 0,
+            },
+        );
         let (mut transport, connector) = in_proc();
         let requests: Vec<ServeRequest> = (0..6)
             .map(|i| ServeRequest::new(vec![NodeId(i % 6), NodeId((i + 2) % 6)]))
@@ -1083,7 +1061,7 @@ mod tests {
 
     #[test]
     fn request_stop_drains_without_a_wire_frame() {
-        let server = CepsServer::new(test_service(), ServerConfig::default());
+        let server = CepsServer::new(test_service(), config(0));
         let (mut transport, _connector) = in_proc();
         std::thread::scope(|s| {
             let server = &server;

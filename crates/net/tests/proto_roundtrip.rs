@@ -201,13 +201,18 @@ fn tiny_service() -> ceps_core::CepsService {
     }
     CepsServiceBuilder::new()
         .cache_bytes(1 << 20)
-        .workers(2)
         .build_from_graph(b.build().unwrap(), CepsConfig::default().budget(3))
         .unwrap()
 }
 
 fn tiny_server() -> CepsServer {
-    CepsServer::new(tiny_service(), ServerConfig::default())
+    CepsServer::new(
+        tiny_service(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
 }
 
 /// Pipelining: many requests written before any reply is read come back

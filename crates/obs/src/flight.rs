@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::context::{current_trace, id_hex};
+use crate::snapshot::json_str;
 
 /// Schema identifier stamped on every dumped line.
 pub const FLIGHT_SCHEMA: &str = "ceps-flight/v1";
@@ -333,20 +334,16 @@ pub fn flight_dump() -> String {
     events.sort_by_key(|e| (e.t_us, e.thread, e.seq));
     let mut out = String::new();
     for e in &events {
-        let name = names
-            .get(e.name as usize)
-            .map_or("?", String::as_str)
-            .replace(['"', '\\'], "_")
-            .replace(['\n', '\r', '\t'], " ");
+        let name = names.get(e.name as usize).map_or("?", String::as_str);
         out.push_str(&format!(
             "{{\"schema\": \"{FLIGHT_SCHEMA}\", \"t_us\": {}, \"thread\": {}, \
-             \"seq\": {}, \"kind\": \"{}\", \"name\": \"{}\", \"trace_id\": {}, \
+             \"seq\": {}, \"kind\": \"{}\", \"name\": {}, \"trace_id\": {}, \
              \"value\": {}}}\n",
             e.t_us,
             e.thread,
             e.seq,
             e.kind.as_str(),
-            name,
+            json_str(name),
             if e.trace_id == 0 {
                 "null".to_string()
             } else {
@@ -443,23 +440,50 @@ mod tests {
         assert_eq!(values, vec![6, 7, 8, 9], "oldest evicted first");
     }
 
+    /// Decodes the JSON string literal at the start of `s` (opening quote
+    /// included) — enough of a parser to read a dumped name back.
+    fn decode_json_str(s: &str) -> String {
+        let mut chars = s.strip_prefix('"').expect("a string literal").chars();
+        let mut out = String::new();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => return out,
+                '\\' => match chars.next().expect("escape") {
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        let code = u32::from_str_radix(&hex, 16).unwrap();
+                        out.push(char::from_u32(code).unwrap());
+                    }
+                    other => out.push(other),
+                },
+                c => out.push(c),
+            }
+        }
+        panic!("unterminated string literal: {s}");
+    }
+
     #[test]
     fn dump_lines_stay_single_line_json_even_with_hostile_names() {
         let _guard = lock();
         flight_enable(16);
         flight_reset();
-        flight_event(FlightKind::Error, "weird \"name\"\nwith breaks", 42, 3);
+        let hostile = "weird \"name\"\nwith\\breaks\tand \u{1} control";
+        flight_event(FlightKind::Error, hostile, 42, 3);
         flight_disable();
         let dump = flight_dump();
-        // Hostile characters in names are neutralized, so every line is
-        // one self-contained JSON object (the root test suite and CI
-        // parse dumps with a real JSON parser).
+        // Names are escaped as JSON strings, so every line is one
+        // self-contained JSON object (the root test suite and CI parse
+        // dumps with a real JSON parser) and the name survives intact.
         assert_eq!(dump.lines().count(), 1, "{dump}");
         let line = dump.lines().next().unwrap();
         assert!(line.starts_with(&format!("{{\"schema\": \"{FLIGHT_SCHEMA}\"")));
         assert!(line.ends_with('}'));
         assert!(line.contains("\"kind\": \"error\""));
-        assert!(!line.contains("weird \""), "quotes must be neutralized");
+        let name_at = line.find("\"name\": ").unwrap() + "\"name\": ".len();
+        assert_eq!(decode_json_str(&line[name_at..]), hostile);
         flight_reset();
     }
 }

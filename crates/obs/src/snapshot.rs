@@ -418,8 +418,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Escapes a string as a JSON string literal (quotes included).
-pub(crate) fn json_str(s: &str) -> String {
+/// Escapes a string as a JSON string literal (quotes included). Every
+/// hand-rolled JSON emitter in the workspace uses this one escaper.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -439,9 +440,10 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` so it is always a valid JSON number (non-finite values
-/// collapse to 0).
-pub(crate) fn json_f64(v: f64) -> String {
+/// Formats an `f64` so it is always a valid JSON number: non-finite values
+/// collapse to 0. The one rule every JSON and Prometheus emitter in the
+/// workspace follows for NaN and infinities.
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

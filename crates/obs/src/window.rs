@@ -441,16 +441,6 @@ fn prom_label(value: &str) -> String {
     out
 }
 
-/// Formats an `f64` for a Prometheus sample value (non-finite collapses to
-/// 0, mirroring the JSON emitters).
-fn prom_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 /// Renders a snapshot in Prometheus text-exposition format.
 ///
 /// Counters export as `counter`, gauges as `gauge`, histograms as cumulative-bucket
@@ -478,19 +468,19 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
         let mut cum = 0u64;
         for &(le, c) in &h.buckets {
             cum += c;
-            let _ = write!(out, "{n}_bucket{{le=\"{}\"}} {cum}", prom_f64(le));
+            let _ = write!(out, "{n}_bucket{{le=\"{}\"}} {cum}", json_f64(le));
             if let Some(e) = h.exemplar_for(le) {
                 let _ = write!(
                     out,
                     " # {{trace_id=\"{}\"}} {}",
                     id_hex(e.trace_id),
-                    prom_f64(e.value)
+                    json_f64(e.value)
                 );
             }
             out.push('\n');
         }
         let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{n}_sum {}", prom_f64(h.sum));
+        let _ = writeln!(out, "{n}_sum {}", json_f64(h.sum));
         let _ = writeln!(out, "{n}_count {}", h.count);
     }
     if !snap.spans.is_empty() {
@@ -509,7 +499,7 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
                 out,
                 "ceps_span_seconds{{path=\"{}\"}} {}",
                 prom_label(&s.path),
-                prom_f64(s.total_ns as f64 / 1e9)
+                json_f64(s.total_ns as f64 / 1e9)
             );
         }
     }
@@ -637,10 +627,11 @@ pub struct ExporterConfig {
     /// Append-only `ceps-metrics/v1` JSONL event stream. `None` disables
     /// the sink.
     pub events_path: Option<PathBuf>,
-    /// Snapshots retained for windowed rates (default 8 → the window spans
-    /// roughly `8 × interval`).
-    pub window: usize,
 }
+
+/// Snapshots a [`MetricsExporter`] retains for windowed rates: the window
+/// spans roughly `8 × interval`.
+const EXPORTER_WINDOW: usize = 8;
 
 impl ExporterConfig {
     /// A config flushing every `interval_ms` milliseconds with no sinks
@@ -651,7 +642,6 @@ impl ExporterConfig {
             interval: Duration::from_millis(interval_ms.max(1)),
             prom_path: None,
             events_path: None,
-            window: 8,
         }
     }
 
@@ -745,7 +735,7 @@ impl Drop for MetricsExporter {
 /// cumulative-only percentiles. Seeding makes the final window delta span
 /// start→exit in the worst case instead of vanishing.
 fn run_exporter(config: &ExporterConfig, mut events: Option<fs::File>, stop: &AtomicBool) {
-    let mut window = WindowedMetrics::new(config.window);
+    let mut window = WindowedMetrics::new(EXPORTER_WINDOW);
     window.push(crate::snapshot());
     let mut seq = 0u64;
     let poll = Duration::from_millis(10).min(config.interval);

@@ -11,7 +11,7 @@
 //!
 //! A [`Coalescer`] holds a bounded **coalescing window**: the first request
 //! to arrive with led misses becomes the *window leader*, waits up to
-//! `window_us` (or until `max_batch` misses pool up) while concurrent
+//! `window_us` (or until [`MAX_BATCH`] misses pool up) while concurrent
 //! requests append theirs, then drains the pool and issues **one** backend
 //! solve for every pooled node. Followers block on their own single-flight
 //! slots and receive the shared `Arc`'d rows when the leader publishes.
@@ -33,44 +33,11 @@ use ceps_graph::NodeId;
 use crate::backend::ScoreBackend;
 use crate::cache::{FlightLead, RwrRowCache};
 
-/// Tunables of the coalescing window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// How long the window leader holds the window open for concurrent
-    /// misses, in microseconds. `0` disables coalescing entirely (every
-    /// request solves its own misses immediately; single-flight still
-    /// applies).
-    pub window_us: u64,
-    /// Drain the window early once this many misses have pooled up
-    /// (clamped to ≥ 1). The drained batch may exceed this bound when many
-    /// requests append in the same scheduling quantum — the batched solver
-    /// handles any width, so the cap is a latency knob, not a hard limit.
-    pub max_batch: usize,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig {
-            window_us: 0,
-            max_batch: 64,
-        }
-    }
-}
-
-impl CoalesceConfig {
-    /// A window of `window_us` microseconds with the default batch cap.
-    pub fn with_window_us(window_us: u64) -> Self {
-        CoalesceConfig {
-            window_us,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this configuration coalesces at all.
-    pub fn enabled(&self) -> bool {
-        self.window_us > 0
-    }
-}
+/// The window drains early once this many misses have pooled up. The
+/// drained batch may exceed it when many requests append in the same
+/// scheduling quantum — the batched solver handles any width, so the cap
+/// bounds latency, not the batch.
+pub const MAX_BATCH: usize = 32;
 
 /// Counters describing coalescer behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,10 +62,13 @@ struct Pool {
 /// wrap in `Arc`; all methods take `&self`.
 #[derive(Debug)]
 pub struct Coalescer {
-    cfg: CoalesceConfig,
+    /// How long the window leader holds the window open, in microseconds.
+    window_us: u64,
+    /// Early-drain threshold: [`MAX_BATCH`] outside this module's tests.
+    max_batch: usize,
     pool: Mutex<Pool>,
-    /// Wakes the window leader when followers append (for the `max_batch`
-    /// early drain).
+    /// Wakes the window leader when followers append (for the early
+    /// drain).
     cv: Condvar,
     batches: AtomicU64,
     batch_rows: AtomicU64,
@@ -106,13 +76,18 @@ pub struct Coalescer {
 }
 
 impl Coalescer {
-    /// Creates a coalescer; `cfg.max_batch` is clamped to ≥ 1.
-    pub fn new(cfg: CoalesceConfig) -> Self {
+    /// Creates a coalescer whose leader holds each window open for up to
+    /// `window_us` microseconds. `0` disables coalescing entirely (every
+    /// request solves its own misses immediately; single-flight still
+    /// applies).
+    pub fn new(window_us: u64) -> Self {
+        Self::with_max_batch(window_us, MAX_BATCH)
+    }
+
+    pub(crate) fn with_max_batch(window_us: u64, max_batch: usize) -> Self {
         Coalescer {
-            cfg: CoalesceConfig {
-                max_batch: cfg.max_batch.max(1),
-                ..cfg
-            },
+            window_us,
+            max_batch,
             pool: Mutex::new(Pool::default()),
             cv: Condvar::new(),
             batches: AtomicU64::new(0),
@@ -121,14 +96,9 @@ impl Coalescer {
         }
     }
 
-    /// The configuration this coalescer runs.
-    pub fn config(&self) -> CoalesceConfig {
-        self.cfg
-    }
-
     /// Whether coalescing is actually on (`window_us > 0`).
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled()
+        self.window_us > 0
     }
 
     /// Snapshot of the behaviour counters.
@@ -170,8 +140,8 @@ impl Coalescer {
         // Become the window leader: hold the window open for `window_us`
         // or until `max_batch` misses pool up, then drain and solve once.
         pool.leader_active = true;
-        let deadline = Instant::now() + Duration::from_micros(self.cfg.window_us);
-        while pool.pending.len() < self.cfg.max_batch {
+        let deadline = Instant::now() + Duration::from_micros(self.window_us);
+        while pool.pending.len() < self.max_batch {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -241,14 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_window_is_default_and_config_clamps() {
-        assert!(!CoalesceConfig::default().enabled());
-        assert!(CoalesceConfig::with_window_us(200).enabled());
-        let co = Coalescer::new(CoalesceConfig {
-            window_us: 100,
-            max_batch: 0,
-        });
-        assert_eq!(co.config().max_batch, 1, "max_batch clamps to >= 1");
+    fn zero_window_disables_coalescing() {
+        assert!(!Coalescer::new(0).enabled());
+        let co = Coalescer::new(100);
+        assert!(co.enabled());
         assert_eq!(co.stats(), CoalesceStats::default());
     }
 
@@ -256,7 +222,7 @@ mod tests {
     fn coalesced_path_matches_cold_solves_bitwise() {
         let be = backend(16);
         let cache = RwrRowCache::new(1 << 20);
-        let co = Coalescer::new(CoalesceConfig::with_window_us(200));
+        let co = Coalescer::new(200);
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 7) % 16)];
             let (m, _) = scores_with_cache(&be, &cache, &queries, Some(&co)).unwrap();
@@ -274,10 +240,7 @@ mod tests {
         // result must stay bitwise-identical to a cold solve.
         let be = backend(32);
         let cache = RwrRowCache::new(1 << 20);
-        let co = Coalescer::new(CoalesceConfig {
-            window_us: 50_000,
-            max_batch: 64,
-        });
+        let co = Coalescer::new(50_000);
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 let (be, cache, co) = (&be, &cache, &co);
@@ -306,10 +269,7 @@ mod tests {
         // the pool on timeout.
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
-        let co = Coalescer::new(CoalesceConfig {
-            window_us: 20_000,
-            max_batch: 64,
-        });
+        let co = Coalescer::new(20_000);
         let t0 = Instant::now();
         let (m, _) = scores_with_cache(&be, &cache, &[NodeId(3)], Some(&co)).unwrap();
         let elapsed = t0.elapsed();
@@ -331,10 +291,7 @@ mod tests {
         let cache = RwrRowCache::new(1 << 20);
         // Window long enough that only the max_batch early-drain can
         // explain a fast finish.
-        let co = Coalescer::new(CoalesceConfig {
-            window_us: 60_000_00, // 6s
-            max_batch: 2,
-        });
+        let co = Coalescer::with_max_batch(6_000_000, 2); // 6s window
         let t0 = Instant::now();
         let (m, _) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(5)], Some(&co)).unwrap();
         assert_eq!(m, be.scores(&[NodeId(0), NodeId(5)]).unwrap());

@@ -17,7 +17,6 @@ fn build_services() -> (CepsEngine, CepsService, CepsService, Vec<Vec<NodeId>>) 
         .build(engine.clone());
     let served = CepsServiceBuilder::new()
         .cache_bytes(32 << 20)
-        .workers(2)
         .build(engine.clone());
     let mut sets: Vec<Vec<NodeId>> = (0u64..4)
         .map(|i| repo.sample(2 + (i as usize % 2), 500 + i))
@@ -45,7 +44,13 @@ fn wire_replies_are_byte_identical_to_in_process_serve() {
         .collect();
 
     let (mut transport, connector) = ceps_repro::ceps_net::in_proc();
-    let server = CepsServer::new(served, ServerConfig::default());
+    let server = CepsServer::new(
+        served,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
     std::thread::scope(|s| {
         let server = &server;
         s.spawn(move || server.serve(&mut transport).unwrap());
@@ -80,7 +85,13 @@ fn wire_autok_matches_in_process_inference() {
     let expected = ceps_repro::ceps_core::infer_soft_and_k(&engine, &queries).unwrap();
 
     let (mut transport, connector) = ceps_repro::ceps_net::in_proc();
-    let server = CepsServer::new(served, ServerConfig::default());
+    let server = CepsServer::new(
+        served,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
     std::thread::scope(|s| {
         let server = &server;
         s.spawn(move || server.serve(&mut transport).unwrap());
