@@ -32,7 +32,8 @@
 //! every preset from `small` up to `--sweep-scale` (default: `--scale`) is
 //! generated and timed at each worker count, with operator-footprint and
 //! peak-RSS columns. Pass `--sweep-scale paper` for the full ~315K-node
-//! story.
+//! story. Last comes a per-width table of one `Transition::apply_block`
+//! product against the plain CSR sweep it replaced (`sliced_speedup`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -387,6 +388,8 @@ fn main() -> ExitCode {
         println!("{}", table.render());
         let scaling = rwr_bench::thread_scaling(&workload, &params);
         println!("{}", scaling.render());
+        let sliced = rwr_bench::sliced_vs_csr(&workload, &params);
+        println!("{}", sliced.render());
         // Nodes × threads sweep: every preset from small up to
         // `--sweep-scale` (default: `--scale`); quick mode caps it at
         // small. The sweep generates its own graphs per scale.
@@ -422,7 +425,12 @@ fn main() -> ExitCode {
             "edges": workload.edge_count(),
             "run": run_meta(&opts),
         });
-        let artifact = [table.clone(), scaling.clone(), nodes_scaling.clone()];
+        let artifact = [
+            table.clone(),
+            scaling.clone(),
+            nodes_scaling.clone(),
+            sliced.clone(),
+        ];
         match write_json(&opts.out, "BENCH_rwr", &meta, &artifact) {
             Ok(p) => println!("wrote {}", p.display()),
             Err(e) => {
@@ -433,6 +441,7 @@ fn main() -> ExitCode {
         tables.push(table);
         tables.push(scaling);
         tables.push(nodes_scaling);
+        tables.push(sliced);
     }
 
     if wants("serve") {

@@ -4,7 +4,7 @@
 //! (`threads = 1`), and the pooled thread-parallel block kernel, plus the
 //! speedup of each batched variant over the scalar loop.
 //!
-//! The batched kernel's win is cache reuse: each CSR entry is loaded once
+//! The batched kernel's win is cache reuse: each operator entry is loaded once
 //! per iteration and folded into all `Q` columns, instead of `Q` separate
 //! sweeps over the adjacency arrays. The parallel variant dispatches the
 //! product through a persistent nnz-balanced worker pool
@@ -16,11 +16,16 @@
 //! [`thread_scaling`] measures the pooled kernel itself: it forces the
 //! parallel path (`min_work = 0`) at several worker counts, which is the
 //! honest picture of dispatch overhead on the current machine.
+//!
+//! [`sliced_vs_csr`] times one [`Transition::apply_block`] product per
+//! block width against [`CsrOracle`], the plain CSR panel sweep the
+//! row-interleaved layout replaced, and checks the two agree bit for bit.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ceps_graph::{normalize::Normalization, Transition};
+use ceps_graph::{normalize::Normalization, NodeId, Transition};
 use ceps_pool::PoolHandle;
 use ceps_rwr::{RwrConfig, RwrEngine, ScratchPool};
 
@@ -193,8 +198,9 @@ pub const SCALING_QUERY_COUNT: usize = 5;
 /// (prepended if absent).
 ///
 /// Alongside the timings each row records the memory story:
-/// `op_f64_mb` is the normalized operator's footprint (offsets + targets +
-/// `f64` coefficients), and
+/// `op_f64_mb` is the normalized operator's footprint
+/// ([`Transition::memory_bytes`]: index arrays, targets and `f64`
+/// coefficients, padding included), and
 /// `peak_rss_mb` is the process's peak resident set ([`rss::peak_rss_kb`],
 /// `0` where procfs is unavailable), reset at the start of each scale when
 /// the platform allows it.
@@ -248,6 +254,156 @@ pub fn node_thread_scaling(scales: &[Scale], params: &RwrBenchParams) -> Table {
             let peak_mb = rss::peak_rss_kb().unwrap_or(0) as f64 / 1024.0;
             table.push_row(vec![nodes, t as f64, ms, base_ms / ms, op_f64_mb, peak_mb]);
         }
+    }
+    table
+}
+
+/// Block widths timed by [`sliced_vs_csr`]: the regression gate floors
+/// widths 1, 3 and 5; width 8, the widest register panel, is reported.
+pub const KERNEL_WIDTHS: [usize; 4] = [1, 3, 5, 8];
+
+/// Alternating timed pairs per width in [`sliced_vs_csr`]; the median of
+/// each side is reported.
+const KERNEL_PAIRS: usize = 21;
+
+/// The plain CSR operator: row offsets, targets ascending within each
+/// row, and coefficients, swept row by row with one accumulator chain per
+/// column. It is the layout [`Transition`] used before its rows were
+/// interleaved, kept as the timing baseline and bitwise oracle of
+/// [`sliced_vs_csr`].
+#[derive(Debug, Clone)]
+pub struct CsrOracle {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    coeffs: Vec<f64>,
+}
+
+impl CsrOracle {
+    /// Copies `transition`'s rows, in [`Transition::row`] order.
+    pub fn new(transition: &Transition) -> Self {
+        let mut oracle = CsrOracle {
+            offsets: vec![0],
+            targets: Vec::with_capacity(transition.nnz()),
+            coeffs: Vec::with_capacity(transition.nnz()),
+        };
+        for u in 0..transition.node_count() {
+            for (v, c) in transition.row(NodeId::from_index(u)) {
+                oracle.targets.push(v.0);
+                oracle.coeffs.push(c);
+            }
+            oracle.offsets.push(oracle.targets.len());
+        }
+        oracle
+    }
+
+    /// `out = M · X` for a node-major block of `cols` columns, the
+    /// contract of [`Transition::apply_block`].
+    ///
+    /// # Panics
+    /// Panics if either slice is not `node_count * cols` long.
+    pub fn apply_block(&self, x: &[f64], out: &mut [f64], cols: usize) {
+        let n = self.offsets.len() - 1;
+        assert!(x.len() == n * cols && out.len() == n * cols);
+        let mut first_col = 0;
+        while first_col < cols {
+            match cols - first_col {
+                1 => self.panel::<1>(x, out, cols, first_col),
+                2 => self.panel::<2>(x, out, cols, first_col),
+                3 => self.panel::<3>(x, out, cols, first_col),
+                4 => self.panel::<4>(x, out, cols, first_col),
+                5 => self.panel::<5>(x, out, cols, first_col),
+                6 => self.panel::<6>(x, out, cols, first_col),
+                7 => self.panel::<7>(x, out, cols, first_col),
+                _ => self.panel::<8>(x, out, cols, first_col),
+            }
+            first_col += 8;
+        }
+    }
+
+    fn panel<const K: usize>(&self, x: &[f64], out: &mut [f64], cols: usize, first_col: usize) {
+        for (u, orow) in out.chunks_exact_mut(cols).enumerate() {
+            let (s, e) = (self.offsets[u], self.offsets[u + 1]);
+            let mut acc = [0f64; K];
+            for (t, c) in self.targets[s..e].iter().zip(&self.coeffs[s..e]) {
+                let xrow = &x[*t as usize * cols + first_col..];
+                for (a, xv) in acc.iter_mut().zip(&xrow[..K]) {
+                    *a += c * xv;
+                }
+            }
+            orow[first_col..first_col + K].copy_from_slice(&acc);
+        }
+    }
+}
+
+/// Per-width kernel table: one [`Transition::apply_block`] product
+/// (`sliced_ms`) against the [`CsrOracle`] sweep (`csr_ms`) on
+/// `workload`'s operator, for each of [`KERNEL_WIDTHS`].
+///
+/// Each cell is the median over 21 alternating pairs; a sample repeats
+/// the product until it covers about 2²⁰ multiply-adds, so small presets
+/// are not timed at the clock's resolution.
+/// `sliced_speedup = csr_ms / sliced_ms`.
+///
+/// # Panics
+/// Panics if the two kernels disagree on any output bit.
+pub fn sliced_vs_csr(workload: &Workload, params: &RwrBenchParams) -> Table {
+    let transition = Transition::new(
+        &workload.data.graph,
+        Normalization::DegreePenalized {
+            alpha: params.alpha,
+        },
+    );
+    let oracle = CsrOracle::new(&transition);
+    let n = transition.node_count();
+    let mut table = Table::new(
+        "BENCH rwr: row-interleaved kernel vs plain CSR sweep",
+        vec![
+            "width".into(),
+            "csr_ms".into(),
+            "sliced_ms".into(),
+            "sliced_speedup".into(),
+        ],
+    );
+    for cols in KERNEL_WIDTHS {
+        let x: Vec<f64> = (0..n * cols)
+            .map(|i| (i.wrapping_mul(2_654_435_761) % 1024) as f64 / 1024.0)
+            .collect();
+        let mut want = vec![0f64; n * cols];
+        let mut got = vec![0f64; n * cols];
+        oracle.apply_block(&x, &mut want, cols);
+        transition.apply_block(&x, &mut got, cols);
+        assert!(
+            want.iter()
+                .zip(&got)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "row-interleaved kernel diverged from the CSR sweep at width {cols}"
+        );
+        let reps = ((1usize << 20) / (transition.nnz() * cols).max(1)).max(1);
+        let time = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            for _ in 0..reps {
+                f();
+            }
+            t.elapsed().as_secs_f64() * 1e3 / reps as f64
+        };
+        let mut csr = Vec::with_capacity(KERNEL_PAIRS);
+        let mut sliced = Vec::with_capacity(KERNEL_PAIRS);
+        for pair in 0..KERNEL_PAIRS {
+            let mut run_csr = || oracle.apply_block(black_box(&x), &mut want, cols);
+            let mut run_sliced = || transition.apply_block(black_box(&x), &mut got, cols);
+            if pair % 2 == 0 {
+                csr.push(time(&mut run_csr));
+                sliced.push(time(&mut run_sliced));
+            } else {
+                sliced.push(time(&mut run_sliced));
+                csr.push(time(&mut run_csr));
+            }
+        }
+        csr.sort_by(f64::total_cmp);
+        sliced.sort_by(f64::total_cmp);
+        let csr_ms = ceps_obs::nearest_rank(&csr, 50.0);
+        let sliced_ms = ceps_obs::nearest_rank(&sliced, 50.0);
+        table.push_row(vec![cols as f64, csr_ms, sliced_ms, csr_ms / sliced_ms]);
     }
     table
 }
@@ -331,6 +487,22 @@ mod tests {
         }
         assert_eq!(t.rows[0][1], 1.0);
         assert_eq!(t.rows[0][3], 1.0, "base row speedup is 1 by definition");
+    }
+
+    #[test]
+    fn sliced_table_covers_every_width() {
+        let w = Workload::build(Scale::Tiny, 7);
+        let t = sliced_vs_csr(&w, &RwrBenchParams::default());
+        assert_eq!(
+            t.columns,
+            vec!["width", "csr_ms", "sliced_ms", "sliced_speedup"]
+        );
+        let widths: Vec<f64> = t.rows.iter().map(|r| r[0]).collect();
+        assert_eq!(widths, vec![1.0, 3.0, 5.0, 8.0]);
+        for row in &t.rows {
+            assert!(row[1] > 0.0 && row[2] > 0.0);
+            assert!(row[3].is_finite() && row[3] > 0.0);
+        }
     }
 
     #[test]

@@ -127,3 +127,22 @@ fn help_succeeds() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("center-piece"));
 }
+
+#[test]
+fn closed_stdout_pipe_exits_cleanly() {
+    // The read end is gone before the child starts, so its first write
+    // fails with a broken pipe, as under `ceps ... | head -c 0`.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = ceps()
+        .args(["help"])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap()
+        .wait_with_output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

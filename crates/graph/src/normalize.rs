@@ -31,10 +31,35 @@
 //!
 //! ## Layout and precision
 //!
-//! One flat CSR sweep serves every graph size: each row's arcs are visited
-//! once per product in ascending target order, and a const-generic panel
-//! kernel keeps up to eight columns' accumulators in registers. A
-//! cache-blocked ("banded") layout once took over at 2¹⁶ nodes; it was
+//! The operator is stored row-interleaved, in the SELL-C-σ scheme of
+//! Kreutzer et al. (SIAM J. Sci. Comput. 2014) with C = 4 and
+//! σ = [`WINDOW_ROWS`] = 256: rows are sorted by degree inside each window
+//! of 256 rows, taken four at a time, and each group of four stores its
+//! arcs interleaved (arc `i` of lane `r` at `start + 4·i + r`), padded to
+//! the group's longest row with `+0.0` coefficients. The kernel adds each
+//! row's arcs in ascending target order, exactly as a plain CSR sweep
+//! does, so every output bit is the CSR result for finite inputs (see
+//! [`Transition::apply`] for why the padding cannot change a bit).
+//!
+//! The plain CSR sweep it replaced was bound by latency and branches, not
+//! by memory bandwidth. Each row is a short dependent `+=` chain (18 arcs
+//! on average, Zipf degrees) whose variable-length exit mispredicts. On
+//! the medium preset (10K nodes, 180,126 arcs, 2-core VM) a probe measured
+//! the CSR sweep at 2.0–2.8 ns per arc at width 1, the same arcs at
+//! 0.9–1.2 ns as one long chain and 0.5–0.8 ns with eight independent
+//! accumulators. Four interleaved rows give four independent chains, and
+//! a group's rows have similar lengths, so the loop exits once per group.
+//! Time per `apply_block` product, interleaved over CSR (median of 21
+//! alternating pairs), at widths 1/3/5/8: 0.50–0.55/0.57–0.65/0.72–0.75/
+//! 0.85–0.87 on medium and 0.68–0.78/0.79–0.83/0.80–0.88/1.04 on large (80K
+//! nodes, 1.58M arcs). Window sizes 64, 256 and 1024 measured the same
+//! within noise; they pad the arcs 1.090/1.068/1.062× on medium and
+//! 1.068/1.047/1.041× on large, and 256 keeps ~40 windows on medium for
+//! the pool's window-aligned chunks. The four accumulators must be
+//! separate locals: as one `[[f64; K]; 4]` array the compiler spilled them
+//! through the stack and widths 5 and 8 ran 0.7–0.8× as fast as CSR.
+//!
+//! A cache-blocked ("banded") layout once took over at 2¹⁶ nodes; it was
 //! bitwise equal to the flat sweep but 1.13–2.13× slower per block product
 //! on the medium, large and paper-scale presets (315K nodes, 6.47M arcs),
 //! and its band index cost 9–25% more operator memory. Those operators fit
@@ -74,35 +99,16 @@ pub enum Normalization {
     Symmetric,
 }
 
-/// `K`-column panel kernel: one pass over the full CSR arc list per row.
-/// Per column the arc order is exactly ascending-target order.
-#[allow(clippy::too_many_arguments)]
-fn panel<const K: usize>(
-    offsets: &[u32],
-    targets: &[u32],
-    coeffs: &[f64],
-    x: &[f64],
-    out: &mut [f64],
-    cols: usize,
-    first_row: usize,
-    first_col: usize,
-) {
-    for (local, orow) in out.chunks_exact_mut(cols).enumerate() {
-        let u = first_row + local;
-        let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
-        let mut acc = [0f64; K];
-        for (t, c) in targets[s..e].iter().zip(&coeffs[s..e]) {
-            let xrow = &x[*t as usize * cols + first_col..];
-            for (a, xv) in acc.iter_mut().zip(&xrow[..K]) {
-                *a += c * xv;
-            }
-        }
-        orow[first_col..first_col + K].copy_from_slice(&acc);
-    }
-}
+/// Rows per sorting window (σ): rows are sorted by degree inside each
+/// window of this many consecutive rows, never across windows, so a
+/// window's output rows stay one contiguous range.
+pub const WINDOW_ROWS: usize = 256;
 
-/// A normalized adjacency operator, laid out arc-parallel with the source
-/// [`CsrGraph`].
+/// Rows interleaved per group (C): the kernel runs this many independent
+/// accumulator chains side by side.
+const LANES: usize = 4;
+
+/// A normalized adjacency operator in a row-interleaved layout.
 ///
 /// ```
 /// use ceps_graph::{normalize::{Normalization, Transition}, GraphBuilder, NodeId};
@@ -115,18 +121,37 @@ fn panel<const K: usize>(
 /// let t = Transition::new(&g, Normalization::ColumnStochastic);
 /// // Probability of stepping 1 -> 0 is w(0,1)/d_1 = 3/4.
 /// assert_eq!(t.coeff(NodeId(0), NodeId(1)), Some(0.75));
+/// // Row 0 in ascending target order: its one arc, M[0, 1] = 3/4.
+/// let row: Vec<(NodeId, f64)> = t.row(NodeId(0)).collect();
+/// assert_eq!(row, vec![(NodeId(1), 0.75)]);
 /// ```
 ///
-/// `coeff[arc u→v] = M[u, v]`: the coefficient that multiplies `x[v]` when
-/// accumulating the new value at `u`, so one matrix–vector product is a pure
-/// gather over each node's CSR slice (see [`Transition::apply`]).
+/// Entry `M[u, v]` is the coefficient that multiplies `x[v]` when
+/// accumulating the new value at `u`, so one matrix–vector product is a
+/// gather over each row's arcs (see [`Transition::apply`]).
+///
+/// Rows are sorted by degree (descending, stable) inside windows of
+/// [`WINDOW_ROWS`] rows and grouped four at a time in that order. A group
+/// stores its rows' arcs interleaved: arc `i` of the group's lane `r` sits
+/// at slot `start + 4·i + r`, each row's arcs in ascending target order.
+/// A group is as wide as its longest row; shorter rows are padded with
+/// `+0.0` coefficients whose target repeats the row's last real target.
 #[derive(Debug, Clone)]
 pub struct Transition {
-    offsets: Vec<u32>,
+    /// Original row of each sorted position.
+    perm: Vec<u32>,
+    /// Sorted position of each original row (the inverse of `perm`).
+    rank: Vec<u32>,
+    /// Real arc count of each original row.
+    row_len: Vec<u32>,
+    /// First slot of each group of `LANES` sorted positions, plus the end.
+    group_start: Vec<usize>,
+    /// Real arcs before each window, plus the total: the nnz prefix sums
+    /// that [`Transition::balanced_row_chunks`] cuts.
+    window_nnz: Vec<usize>,
     targets: Vec<u32>,
     coeffs: Vec<f64>,
     kind: Normalization,
-    node_count: usize,
 }
 
 impl Transition {
@@ -135,17 +160,81 @@ impl Transition {
     /// Isolated nodes get an all-zero column (the walk can never reach or
     /// leave them), which the stochastic invariant tolerates.
     pub fn new(graph: &CsrGraph, kind: Normalization) -> Self {
-        let (offsets, targets, coeffs, kind) = match kind {
-            Normalization::ColumnStochastic => raw_degree_penalized(graph, 0.0),
-            Normalization::DegreePenalized { alpha } => raw_degree_penalized(graph, alpha),
-            Normalization::Symmetric => raw_symmetric(graph),
-        };
+        match kind {
+            Normalization::ColumnStochastic => degree_penalized(graph, 0.0),
+            Normalization::DegreePenalized { alpha } => degree_penalized(graph, alpha),
+            Normalization::Symmetric => symmetric(graph),
+        }
+    }
+
+    /// Lays `graph`'s arcs out row-interleaved, with `coeff(u, v, w)` as the
+    /// coefficient of arc `u → v` of weight `w`.
+    fn interleave(
+        graph: &CsrGraph,
+        kind: Normalization,
+        coeff: impl Fn(usize, usize, f64) -> f64,
+    ) -> Self {
+        let n = graph.node_count();
+        let row_len: Vec<u32> = (0..n)
+            .map(|u| graph.neighbor_ids(NodeId::from_index(u)).len() as u32)
+            .collect();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        for window in perm.chunks_mut(WINDOW_ROWS) {
+            window.sort_by_key(|&u| std::cmp::Reverse(row_len[u as usize]));
+        }
+        let mut rank = vec![0u32; n];
+        for (k, &u) in perm.iter().enumerate() {
+            rank[u as usize] = k as u32;
+        }
+        // Rows are sorted descending, so a group's first row is its widest.
+        let mut group_start = Vec::with_capacity(n.div_ceil(LANES) + 1);
+        group_start.push(0usize);
+        for rows in perm.chunks(LANES) {
+            let width = row_len[rows[0] as usize] as usize;
+            group_start.push(group_start[group_start.len() - 1] + LANES * width);
+        }
+        let slots = group_start[group_start.len() - 1];
+        let mut targets = vec![0u32; slots];
+        let mut coeffs = vec![0f64; slots];
+        for (group, rows) in perm.chunks(LANES).enumerate() {
+            let (start, end) = (group_start[group], group_start[group + 1]);
+            for lane in 0..LANES {
+                // The last group may have fewer than LANES rows; its empty
+                // lanes are all padding.
+                let (u, ts, ws) = match rows.get(lane) {
+                    Some(&u) => {
+                        let id = NodeId(u);
+                        (u, graph.neighbor_ids(id), graph.neighbor_weights(id))
+                    }
+                    None => (rows[0], &[][..], &[][..]),
+                };
+                let first_pad = start + lane + LANES * ts.len();
+                for (i, (&t, &w)) in ts.iter().zip(ws).enumerate() {
+                    let s = start + lane + LANES * i;
+                    targets[s] = t;
+                    coeffs[s] = coeff(u as usize, t as usize, w);
+                }
+                // Padding keeps its `+0.0` coefficient.
+                let pad = ts.last().copied().unwrap_or(u);
+                for s in (first_pad..end).step_by(LANES) {
+                    targets[s] = pad;
+                }
+            }
+        }
+        let mut window_nnz = vec![0usize];
+        for window in row_len.chunks(WINDOW_ROWS) {
+            let before = window_nnz[window_nnz.len() - 1];
+            window_nnz.push(before + window.iter().map(|&d| d as usize).sum::<usize>());
+        }
         Transition {
-            offsets,
+            perm,
+            rank,
+            row_len,
+            group_start,
+            window_nnz,
             targets,
             coeffs,
             kind,
-            node_count: graph.node_count(),
         }
     }
 
@@ -154,10 +243,14 @@ impl Transition {
         self.kind
     }
 
-    /// Bytes held by the operator's index and coefficient arrays (offsets,
-    /// targets and coefficients).
+    /// Bytes held by the operator's index and coefficient arrays, padding
+    /// slots included.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.offsets.as_slice())
+        std::mem::size_of_val(self.perm.as_slice())
+            + std::mem::size_of_val(self.rank.as_slice())
+            + std::mem::size_of_val(self.row_len.as_slice())
+            + std::mem::size_of_val(self.group_start.as_slice())
+            + std::mem::size_of_val(self.window_nnz.as_slice())
             + std::mem::size_of_val(self.targets.as_slice())
             + std::mem::size_of_val(self.coeffs.as_slice())
     }
@@ -165,7 +258,7 @@ impl Transition {
     /// Number of nodes (matrix dimension).
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.perm.len()
     }
 
     /// Computes `out = M · x` (one sparse matrix–vector product).
@@ -173,11 +266,22 @@ impl Transition {
     /// The caller layers the restart term on top (`ceps-rwr` does
     /// `x ← c · Mx + (1−c) e`).
     ///
+    /// For finite `x`, every `out[u]` is bitwise the plain CSR sum
+    /// `Σ M[u, v] · x[v]` taken over [`Transition::row`] in ascending `v`
+    /// from `+0.0`: padding slots add `+0.0 · x[v]`, which leaves an
+    /// accumulator that started at `+0.0` unchanged (such a sum is never
+    /// `−0.0`). An infinite or NaN entry of `x` can turn a padding slot
+    /// into NaN.
+    ///
     /// # Panics
     /// Panics if `x` or `out` is not `node_count` long.
     pub fn apply(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.node_count, "input vector length mismatch");
-        assert_eq!(out.len(), self.node_count, "output vector length mismatch");
+        assert_eq!(x.len(), self.node_count(), "input vector length mismatch");
+        assert_eq!(
+            out.len(),
+            self.node_count(),
+            "output vector length mismatch"
+        );
         self.apply_block_rows(x, out, 1, 0);
     }
 
@@ -185,66 +289,75 @@ impl Transition {
     /// vectors, stored row-major with stride `cols` (node-major: `X[u, j]`
     /// at `x[u * cols + j]`).
     ///
-    /// One pass over the CSR arrays serves every column: each
-    /// `(target, coeff)` entry is loaded once and applied to `cols`
-    /// accumulators, instead of being re-read per solve as in the
-    /// one-column [`Transition::apply`]. Per column, the accumulation
-    /// visits arcs in the same order as `apply`, so results are
-    /// bitwise-identical to `cols` independent scalar products.
+    /// One pass over the interleaved arrays serves every column: each
+    /// `(target, coeff)` slot is loaded once and applied to `cols`
+    /// accumulators. Per column, the accumulation visits arcs in the same
+    /// order as `apply`, so for finite `x` results are bitwise-identical
+    /// to `cols` independent scalar products.
     ///
     /// # Panics
     /// Panics if `cols == 0` or either slice is not `node_count * cols`
     /// long.
     pub fn apply_block(&self, x: &[f64], out: &mut [f64], cols: usize) {
-        assert!(cols > 0, "block must have at least one column");
-        assert_eq!(
-            x.len(),
-            self.node_count * cols,
-            "input block length mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            self.node_count * cols,
-            "output block length mismatch"
-        );
+        self.check_block(x, out, cols);
         self.apply_block_rows(x, out, cols, 0);
     }
 
-    /// Block kernel over the row range `first_row ..`, writing into `out`
-    /// (whose length selects how many rows are computed). Shared by
+    fn check_block(&self, x: &[f64], out: &[f64], cols: usize) {
+        assert!(cols > 0, "block must have at least one column");
+        let len = self.node_count() * cols;
+        assert_eq!(x.len(), len, "input block length mismatch");
+        assert_eq!(out.len(), len, "output block length mismatch");
+    }
+
+    /// Block kernel over the windows starting at row `first_row`, writing
+    /// into `out` (whose length selects how many rows are computed; it
+    /// ends on a window boundary or at `node_count`). Shared by
     /// [`Transition::apply`], [`Transition::apply_block`] and the row
-    /// chunks of [`Transition::par_apply_block`]. Narrow widths run as one
-    /// const-generic panel whose accumulators live in registers; wider
+    /// chunks of [`Transition::par_apply_block`]. Widths up to 8 run as
+    /// one const-generic panel reading `x` as `[f64; K]` rows; wider
     /// blocks sweep in 8-column panels.
     fn apply_block_rows(&self, x: &[f64], out: &mut [f64], cols: usize, first_row: usize) {
         debug_assert_eq!(out.len() % cols, 0);
-        let (o, t, c) = (&self.offsets, &self.targets, &self.coeffs);
-        macro_rules! p {
-            ($k:literal, $fc:expr) => {
-                panel::<$k>(o, t, c, x, out, cols, first_row, $fc)
-            };
+        debug_assert_eq!(first_row % WINDOW_ROWS, 0);
+        macro_rules! whole {
+            ($k:literal) => {{
+                let (rows, _) = x.as_chunks::<$k>();
+                self.panel::<$k>(|t| &rows[t], out, cols, first_row, 0)
+            }};
+        }
+        macro_rules! part {
+            ($k:literal, $fc:expr) => {{
+                let fc = $fc;
+                let row = |t: usize| -> &[f64; $k] {
+                    x[t * cols + fc..][..$k]
+                        .try_into()
+                        .expect("panel slice has K entries")
+                };
+                self.panel::<$k>(row, out, cols, first_row, fc)
+            }};
         }
         match cols {
-            1 => p!(1, 0),
-            2 => p!(2, 0),
-            3 => p!(3, 0),
-            4 => p!(4, 0),
-            5 => p!(5, 0),
-            6 => p!(6, 0),
-            7 => p!(7, 0),
-            8 => p!(8, 0),
+            1 => whole!(1),
+            2 => whole!(2),
+            3 => whole!(3),
+            4 => whole!(4),
+            5 => whole!(5),
+            6 => whole!(6),
+            7 => whole!(7),
+            8 => whole!(8),
             _ => {
                 let mut first_col = 0;
                 while first_col < cols {
                     match cols - first_col {
-                        1 => p!(1, first_col),
-                        2 => p!(2, first_col),
-                        3 => p!(3, first_col),
-                        4 => p!(4, first_col),
-                        5 => p!(5, first_col),
-                        6 => p!(6, first_col),
-                        7 => p!(7, first_col),
-                        _ => p!(8, first_col),
+                        1 => part!(1, first_col),
+                        2 => part!(2, first_col),
+                        3 => part!(3, first_col),
+                        4 => part!(4, first_col),
+                        5 => part!(5, first_col),
+                        6 => part!(6, first_col),
+                        7 => part!(7, first_col),
+                        _ => part!(8, first_col),
                     }
                     first_col += 8;
                 }
@@ -252,42 +365,87 @@ impl Transition {
         }
     }
 
-    /// Number of stored coefficients (arcs): the cost of one
+    /// `K`-column panel: columns `first_col..first_col + K` of the rows
+    /// in `out`, where `xrow(v)` is those columns of `x`'s row `v`. Each
+    /// group's four rows accumulate side by side, one slot of each per
+    /// step, so four independent add chains hide each other's latency.
+    /// The four accumulators are separate locals, not one `[[f64; K]; 4]`
+    /// indexed by lane: the array form made the compiler rotate and spill
+    /// accumulators through the stack every step.
+    fn panel<'x, const K: usize>(
+        &self,
+        xrow: impl Fn(usize) -> &'x [f64; K],
+        out: &mut [f64],
+        cols: usize,
+        first_row: usize,
+        first_col: usize,
+    ) {
+        #[inline(always)]
+        fn madd<const K: usize>(acc: &mut [f64; K], c: f64, x: &[f64; K]) {
+            for (a, x) in acc.iter_mut().zip(x) {
+                *a += c * x;
+            }
+        }
+        let end_row = first_row + out.len() / cols;
+        for group in first_row / LANES..end_row.div_ceil(LANES) {
+            let (start, end) = (self.group_start[group], self.group_start[group + 1]);
+            let (targets, _) = self.targets[start..end].as_chunks::<LANES>();
+            let (coeffs, _) = self.coeffs[start..end].as_chunks::<LANES>();
+            let (mut a0, mut a1, mut a2, mut a3) = ([0f64; K], [0f64; K], [0f64; K], [0f64; K]);
+            for (t, c) in targets.iter().zip(coeffs) {
+                madd(&mut a0, c[0], xrow(t[0] as usize));
+                madd(&mut a1, c[1], xrow(t[1] as usize));
+                madd(&mut a2, c[2], xrow(t[2] as usize));
+                madd(&mut a3, c[3], xrow(t[3] as usize));
+            }
+            let first = group * LANES;
+            let rows = &self.perm[first..(first + LANES).min(end_row)];
+            for (&u, acc) in rows.iter().zip([&a0, &a1, &a2, &a3]) {
+                let at = (u as usize - first_row) * cols + first_col;
+                out[at..at + K].copy_from_slice(acc);
+            }
+        }
+    }
+
+    /// Number of real arcs (padding excluded): the cost of one
     /// [`Transition::apply`] sweep, and — times the column count — the
     /// work estimate the parallel kernels weigh against a pool's
     /// [`WorkerPool::min_work`] threshold.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.coeffs.len()
+        self.window_nnz[self.window_nnz.len() - 1]
     }
 
     /// Splits the rows into up to `target` contiguous ranges of roughly
-    /// equal **nonzero count** (not row count): chunk boundaries are found
-    /// by binary-searching the CSR `offsets` prefix sums for the `k/target`
-    /// nnz quantiles. Skewed-degree graphs (ours are) make per-row-count
+    /// equal **nonzero count** (not row count), cut only at window
+    /// boundaries (multiples of [`WINDOW_ROWS`]): chunk ends are found by
+    /// binary-searching the per-window nnz prefix sums for the `k/target`
+    /// quantiles. Skewed-degree graphs (ours are) make per-row-count
     /// chunks pathologically unbalanced — one hub-heavy chunk serializes
     /// the whole product; nnz balancing is what lets the worker pool keep
     /// every thread busy.
     ///
     /// Ranges are non-empty, disjoint, ascending and cover `0..node_count`
-    /// exactly. A row whose nnz exceeds a quantile span simply becomes its
-    /// own (oversized) chunk — rows are never split.
+    /// exactly. A window whose nnz exceeds a quantile span simply becomes
+    /// its own (oversized) chunk — windows are never split.
     pub fn balanced_row_chunks(&self, target: usize) -> Vec<(usize, usize)> {
-        let n = self.node_count;
+        let n = self.node_count();
         if n == 0 {
             return Vec::new();
         }
-        let target = target.clamp(1, n);
-        let nnz = self.nnz() as u64;
+        let windows = self.window_nnz.len() - 1;
+        let target = target.clamp(1, windows);
+        let nnz = self.nnz();
         if nnz == 0 {
             return vec![(0, n)];
         }
         let mut chunks = Vec::with_capacity(target);
         let mut prev = 0usize;
         for k in 1..target {
-            let want = (k as u64 * nnz).div_ceil(target as u64) as u32;
-            // First row index whose prefix sum reaches the quantile.
-            let bound = self.offsets.partition_point(|&o| o < want).min(n);
+            let want = (k * nnz).div_ceil(target);
+            // First window boundary whose prefix sum reaches the quantile.
+            let window = self.window_nnz.partition_point(|&o| o < want);
+            let bound = (window * WINDOW_ROWS).min(n);
             if bound > prev {
                 chunks.push((prev, bound));
                 prev = bound;
@@ -301,9 +459,10 @@ impl Transition {
 
     /// Parallel [`Transition::apply_block`] over a persistent
     /// [`WorkerPool`]: one dispatch (wake → steal → sleep) per call, no
-    /// thread spawns. The rows are pre-split into nnz-balanced chunks
-    /// ([`Transition::balanced_row_chunks`], ~4 per worker) and claimed off an atomic cursor, so a straggling
-    /// worker sheds load to the others.
+    /// thread spawns. The rows are pre-split into nnz-balanced,
+    /// window-aligned chunks ([`Transition::balanced_row_chunks`], ~4 per
+    /// worker) and claimed off an atomic cursor, so a straggling worker
+    /// sheds load to the others.
     ///
     /// Falls back to the sequential kernel when the pool is
     /// single-threaded or the estimated work (`nnz × cols`) is under the
@@ -323,18 +482,8 @@ impl Transition {
     /// Panics if `cols == 0`, either slice is not `node_count * cols` long,
     /// or the job panics on a worker.
     pub fn par_apply_block(&self, x: &[f64], out: &mut [f64], cols: usize, pool: &WorkerPool) {
-        assert!(cols > 0, "block must have at least one column");
-        assert_eq!(
-            x.len(),
-            self.node_count * cols,
-            "input block length mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            self.node_count * cols,
-            "output block length mismatch"
-        );
-        let workers = pool.threads().min(self.node_count).max(1);
+        self.check_block(x, out, cols);
+        let workers = pool.threads().min(self.node_count()).max(1);
         if workers <= 1 || self.nnz().saturating_mul(cols) < pool.min_work() {
             return self.apply_block_rows(x, out, cols, 0);
         }
@@ -376,30 +525,48 @@ impl Transition {
         }
     }
 
+    /// First slot and real length of row `u`; its arc `i` is at
+    /// `start + LANES·i`.
+    fn row_span(&self, u: NodeId) -> (usize, usize) {
+        let k = self.rank[u.index()] as usize;
+        (
+            self.group_start[k / LANES] + k % LANES,
+            self.row_len[u.index()] as usize,
+        )
+    }
+
     /// The matrix entry `M[u, v]` (`W̃[u, v]` in the paper's notation — for
     /// the stochastic kinds, the probability of stepping `v → u`).
     ///
     /// Used by the edge-score definition Eq. 15. `O(log deg(u))`.
     pub fn coeff(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let (s, e) = (
-            self.offsets[u.index()] as usize,
-            self.offsets[u.index() + 1] as usize,
-        );
-        self.targets[s..e]
-            .binary_search(&v.0)
-            .ok()
-            .map(|i| self.coeffs[s + i])
+        let (start, len) = self.row_span(u);
+        let at = |i: usize| start + LANES * i;
+        let (mut lo, mut hi) = (0, len);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.targets[at(mid)] < v.0 {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < len && self.targets[at(lo)] == v.0).then(|| self.coeffs[at(lo)])
     }
 
-    /// Out-neighborhood view used by solvers: ids and coefficients of row
-    /// `u`.
-    #[inline]
-    pub fn row(&self, u: NodeId) -> (&[u32], &[f64]) {
-        let (s, e) = (
-            self.offsets[u.index()] as usize,
-            self.offsets[u.index() + 1] as usize,
-        );
-        (&self.targets[s..e], &self.coeffs[s..e])
+    /// Row `u`'s arcs `(v, M[u, v])` in ascending `v`, padding excluded —
+    /// the order in which the kernels add them.
+    pub fn row(&self, u: NodeId) -> impl ExactSizeIterator<Item = (NodeId, f64)> + '_ {
+        let (start, len) = self.row_span(u);
+        // A row of an all-empty final group may start past the arrays.
+        let targets = self.targets.get(start..).unwrap_or_default();
+        let coeffs = self.coeffs.get(start..).unwrap_or_default();
+        targets
+            .iter()
+            .step_by(LANES)
+            .zip(coeffs.iter().step_by(LANES))
+            .take(len)
+            .map(|(&v, &c)| (NodeId(v), c))
     }
 
     /// Entries of column `v`: `(u, M[u, v])` for every structurally
@@ -407,26 +574,22 @@ impl Transition {
     /// for the stochastic kinds. `O(deg(v) · log deg(u))`.
     ///
     /// The sparsity pattern is symmetric (the operator comes from an
-    /// undirected graph), so column `v`'s rows are exactly `v`'s CSR
-    /// neighbors; only the coefficients differ from row `v`'s.
+    /// undirected graph), so column `v`'s rows are exactly row `v`'s
+    /// targets; only the coefficients differ from row `v`'s.
     pub fn column_entries(&self, v: NodeId) -> Vec<(NodeId, f64)> {
-        let (ids, _) = self.row(v);
-        ids.iter()
-            .map(|&u| {
-                let c = self.coeff(NodeId(u), v).unwrap_or(0.0);
-                (NodeId(u), c)
-            })
+        self.row(v)
+            .map(|(u, _)| (u, self.coeff(u, v).unwrap_or(0.0)))
             .collect()
     }
 
     /// Column sums `Σ_u M[u, v]` — 1.0 (or 0.0 for isolated nodes) for the
     /// stochastic kinds; used by tests to assert the invariant.
     pub fn column_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0f64; self.node_count];
-        for u in 0..self.node_count {
-            let (s, e) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for (t, c) in self.targets[s..e].iter().zip(&self.coeffs[s..e]) {
-                sums[*t as usize] += c;
+        let n = self.node_count();
+        let mut sums = vec![0f64; n];
+        for u in 0..n {
+            for (v, c) in self.row(NodeId::from_index(u)) {
+                sums[v.index()] += c;
             }
         }
         sums
@@ -435,23 +598,19 @@ impl Transition {
     /// Densifies the operator into row-major `n × n` — test-oracle helper for
     /// small graphs only.
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let n = self.node_count;
+        let n = self.node_count();
         let mut m = vec![vec![0f64; n]; n];
-        for u in 0..n {
-            let (s, e) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for (t, c) in self.targets[s..e].iter().zip(&self.coeffs[s..e]) {
-                m[u][*t as usize] = *c;
+        for (u, dense_row) in m.iter_mut().enumerate() {
+            for (v, c) in self.row(NodeId::from_index(u)) {
+                dense_row[v.index()] = c;
             }
         }
         m
     }
 }
 
-/// Eq. 10 + Eq. 5 raw arrays. With `alpha == 0` this is exactly Eq. 5.
-fn raw_degree_penalized(
-    graph: &CsrGraph,
-    alpha: f64,
-) -> (Vec<u32>, Vec<u32>, Vec<f64>, Normalization) {
+/// Eq. 10 + Eq. 5. With `alpha == 0` this is exactly Eq. 5.
+fn degree_penalized(graph: &CsrGraph, alpha: f64) -> Transition {
     let n = graph.node_count();
     // Penalty factor 1 / d_u^alpha per *destination* node u (the row node
     // of Eq. 10 becomes the destination when reading down a column).
@@ -481,36 +640,21 @@ fn raw_degree_penalized(
     }
 
     // coeff[u→v] = w(u, v) · penalty[u] / col_sum[v].
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets = Vec::with_capacity(graph.arc_count());
-    let mut coeffs = Vec::with_capacity(graph.arc_count());
-    offsets.push(0u32);
-    for u in 0..n {
-        let uid = NodeId::from_index(u);
-        let ids = graph.neighbor_ids(uid);
-        let ws = graph.neighbor_weights(uid);
-        for (t, w) in ids.iter().zip(ws) {
-            let v = *t as usize;
-            let c = if col_sum[v] > 0.0 {
+    Transition::interleave(
+        graph,
+        Normalization::DegreePenalized { alpha },
+        |u, v, w| {
+            if col_sum[v] > 0.0 {
                 w * penalty[u] / col_sum[v]
             } else {
                 0.0
-            };
-            targets.push(*t);
-            coeffs.push(c);
-        }
-        offsets.push(targets.len() as u32);
-    }
-    (
-        offsets,
-        targets,
-        coeffs,
-        Normalization::DegreePenalized { alpha },
+            }
+        },
     )
 }
 
-/// Eq. 20 raw arrays: `S[u, v] = w(u, v) / sqrt(d_u · d_v)`.
-fn raw_symmetric(graph: &CsrGraph) -> (Vec<u32>, Vec<u32>, Vec<f64>, Normalization) {
+/// Eq. 20: `S[u, v] = w(u, v) / sqrt(d_u · d_v)`.
+fn symmetric(graph: &CsrGraph) -> Transition {
     let n = graph.node_count();
     let inv_sqrt: Vec<f64> = (0..n)
         .map(|u| {
@@ -522,21 +666,9 @@ fn raw_symmetric(graph: &CsrGraph) -> (Vec<u32>, Vec<u32>, Vec<f64>, Normalizati
             }
         })
         .collect();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets = Vec::with_capacity(graph.arc_count());
-    let mut coeffs = Vec::with_capacity(graph.arc_count());
-    offsets.push(0u32);
-    for u in 0..n {
-        let uid = NodeId::from_index(u);
-        let ids = graph.neighbor_ids(uid);
-        let ws = graph.neighbor_weights(uid);
-        for (t, w) in ids.iter().zip(ws) {
-            targets.push(*t);
-            coeffs.push(w * inv_sqrt[u] * inv_sqrt[*t as usize]);
-        }
-        offsets.push(targets.len() as u32);
-    }
-    (offsets, targets, coeffs, Normalization::Symmetric)
+    Transition::interleave(graph, Normalization::Symmetric, |u, v, w| {
+        w * inv_sqrt[u] * inv_sqrt[v]
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::io::Cursor;
 use ceps_graph::{
     algo::{connected_components, dijkstra, hop_distances},
     io::{read_edge_list, write_edge_list},
-    normalize::{Normalization, Transition},
+    normalize::{Normalization, Transition, WINDOW_ROWS},
     GraphBuilder, NodeId, Subgraph,
 };
 use proptest::prelude::*;
@@ -27,6 +27,66 @@ fn build(n: usize, edges: &[(usize, usize, f64)]) -> ceps_graph::CsrGraph {
         }
     }
     b.build().unwrap()
+}
+
+/// Graphs spanning several [`WINDOW_ROWS`] windows: up to 2,000 nodes
+/// with random edges, three hub rows of degree about `n / 5`, and every
+/// node `≡ 5 (mod 61)` left isolated. Returns `(n, edges, hubs)`.
+fn arb_windowed_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>, Vec<usize>)> {
+    (300usize..=2000).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n, 0.1f64..100.0), n..3 * n);
+        let hubs = proptest::collection::vec(0..n, 3..4);
+        (Just(n), edges, hubs)
+    })
+}
+
+fn build_windowed(n: usize, edges: &[(usize, usize, f64)], hubs: &[usize]) -> ceps_graph::CsrGraph {
+    let isolated = |v: usize| v % 61 == 5;
+    let mut b = GraphBuilder::with_nodes(n);
+    let hub_edges = hubs
+        .iter()
+        .flat_map(|&h| (0..n / 5).map(move |i| (h, (h * 7 + 13 * i + 1) % n, 1.5)));
+    for (x, y, w) in edges.iter().copied().chain(hub_edges) {
+        if x != y && !isolated(x) && !isolated(y) {
+            b.add_edge(NodeId(x as u32), NodeId(y as u32), w).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Finite test input in `[-1, 1)` with some exact zeros, so padding slots
+/// meet negative and zero `x` entries.
+fn test_block(len: usize, seed: u64) -> Vec<f64> {
+    (0..len as u64)
+        .map(|i| {
+            let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if h.is_multiple_of(7) {
+                0.0
+            } else {
+                (h % 2048) as f64 / 1024.0 - 1.0
+            }
+        })
+        .collect()
+}
+
+/// The plain CSR sweep: each row's arcs in [`Transition::row`] order,
+/// one accumulator per column starting at `+0.0`.
+fn csr_reference(t: &Transition, x: &[f64], cols: usize) -> Vec<f64> {
+    let mut out = vec![0f64; t.node_count() * cols];
+    for u in 0..t.node_count() {
+        for j in 0..cols {
+            let mut acc = 0.0;
+            for (v, c) in t.row(NodeId(u as u32)) {
+                acc += c * x[v.index() * cols + j];
+            }
+            out[u * cols + j] = acc;
+        }
+    }
+    out
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|f| f.to_bits()).collect()
 }
 
 proptest! {
@@ -162,34 +222,44 @@ proptest! {
     }
 
     /// `balanced_row_chunks` partitions the rows exactly (non-empty,
-    /// disjoint, ascending, covering), and no chunk carries more than one
-    /// quantile span of nnz beyond its largest single row — the balance
-    /// guarantee the pool's work distribution rests on.
+    /// disjoint, ascending, covering, cut only at window boundaries), and
+    /// no chunk carries more than one quantile span of nnz beyond its
+    /// largest single window — the balance guarantee the pool's work
+    /// distribution rests on. Windows are the unit because the kernel
+    /// writes a window's rows in degree-sorted order, so a chunk must own
+    /// whole windows.
     #[test]
     fn balanced_row_chunks_cover_rows_and_balance_nnz(
-        (n, edges) in arb_edges(),
+        (n, edges, hubs) in arb_windowed_graph(),
         target in 1usize..12,
     ) {
-        let g = build(n, &edges);
+        let g = build_windowed(n, &edges, &hubs);
         let t = Transition::new(&g, Normalization::ColumnStochastic);
+        let windows = n.div_ceil(WINDOW_ROWS);
         let chunks = t.balanced_row_chunks(target);
-        prop_assert!(chunks.len() <= target.min(n));
+        prop_assert!(chunks.len() <= target.min(windows));
         let mut expect = 0usize;
         for &(s, e) in &chunks {
             prop_assert_eq!(s, expect, "contiguous ascending coverage");
             prop_assert!(e > s, "non-empty chunk");
+            prop_assert!(e == n || e.is_multiple_of(WINDOW_ROWS), "chunk [{s}, {e}) splits a window");
             expect = e;
         }
         prop_assert_eq!(expect, n, "chunks cover every row");
-        let row_nnz = |u: usize| t.row(NodeId(u as u32)).0.len();
-        // The implementation clamps `target` to the row count.
-        let quantile = t.nnz().div_ceil(target.min(n));
+        let window_nnz = |w: usize| -> usize {
+            (w * WINDOW_ROWS..((w + 1) * WINDOW_ROWS).min(n))
+                .map(|u| t.row(NodeId(u as u32)).len())
+                .sum()
+        };
+        // The implementation clamps `target` to the window count.
+        let quantile = t.nnz().div_ceil(target.min(windows));
         for &(s, e) in &chunks {
-            let nnz: usize = (s..e).map(row_nnz).sum();
-            let biggest = (s..e).map(row_nnz).max().unwrap_or(0);
+            let covered = s / WINDOW_ROWS..e.div_ceil(WINDOW_ROWS);
+            let nnz: usize = covered.clone().map(window_nnz).sum();
+            let biggest = covered.map(window_nnz).max().unwrap_or(0);
             prop_assert!(
                 nnz <= quantile + biggest,
-                "chunk [{s}, {e}) holds {nnz} nnz > quantile {quantile} + biggest row {biggest}"
+                "chunk [{s}, {e}) holds {nnz} nnz > quantile {quantile} + biggest window {biggest}"
             );
         }
     }
@@ -241,5 +311,50 @@ proptest! {
             prop_assert_eq!(g.weight(pa, pb), Some(w));
         }
         prop_assert_eq!(mat.edge_count(), sub.induced_edge_count(&g));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The row-interleaved kernels equal a naive CSR sweep over
+    /// `Transition::row` bit for bit: `apply` per column, `apply_block`
+    /// at widths 1..=10 (10 crosses the 8-column panel split) and
+    /// `par_apply_block` on 1, 2 and 3 threads, on graphs of several
+    /// windows with hub rows (wide, heavily padded groups), isolated rows
+    /// (all-padding lanes) and a final partial group.
+    #[test]
+    fn interleaved_kernels_match_plain_csr_bitwise(
+        (n, edges, hubs) in arb_windowed_graph(),
+        alpha in 0.0f64..1.5,
+        cols in 1usize..=10,
+        threads in 1usize..=3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let g = build_windowed(n, &edges, &hubs);
+        let t = Transition::new(&g, Normalization::DegreePenalized { alpha });
+        let x = test_block(n * cols, seed);
+        let want = bits(&csr_reference(&t, &x, cols));
+
+        let mut out = vec![f64::NAN; n * cols];
+        t.apply_block(&x, &mut out, cols);
+        prop_assert!(bits(&out) == want, "apply_block diverged at width {}", cols);
+
+        let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
+        let mut out = vec![f64::NAN; n * cols];
+        t.par_apply_block(&x, &mut out, cols, &pool);
+        prop_assert!(bits(&out) == want, "par_apply_block diverged on {} threads", threads);
+
+        let mut col = vec![0f64; n];
+        let mut col_out = vec![f64::NAN; n];
+        for j in 0..cols {
+            for u in 0..n {
+                col[u] = x[u * cols + j];
+            }
+            t.apply(&col, &mut col_out);
+            for u in 0..n {
+                prop_assert_eq!(col_out[u].to_bits(), want[u * cols + j], "apply col {} node {}", j, u);
+            }
+        }
     }
 }

@@ -15,8 +15,8 @@
 //!   arrived inside the window.
 //! * [`MetricsExporter`] — a background thread that snapshots the registry
 //!   every N ms and flushes to two sinks: a Prometheus text-exposition file
-//!   ([`to_prometheus`]) rewritten on every flush, and an append-only JSONL
-//!   event stream ([`metrics_event_json`], schema `ceps-metrics/v1` — see
+//!   ([`to_prometheus`]) rewritten on every flush, and a JSONL event
+//!   stream, started empty and appended to on every flush ([`metrics_event_json`], schema `ceps-metrics/v1` — see
 //!   [`crate::snapshot`] for the schema catalogue). Dropping the exporter
 //!   performs one final flush, so the `.prom` file always matches the final
 //!   registry state. The window is seeded with a baseline snapshot when the
@@ -624,8 +624,8 @@ pub struct ExporterConfig {
     /// Prometheus text-exposition file, rewritten atomically-enough (full
     /// truncate + write) on every flush. `None` disables the sink.
     pub prom_path: Option<PathBuf>,
-    /// Append-only `ceps-metrics/v1` JSONL event stream. `None` disables
-    /// the sink.
+    /// `ceps-metrics/v1` JSONL event stream: truncated when the exporter
+    /// starts, then one line appended per flush. `None` disables the sink.
     pub events_path: Option<PathBuf>,
 }
 
@@ -674,8 +674,9 @@ pub struct MetricsExporter {
 }
 
 impl MetricsExporter {
-    /// Creates the sink files (truncating an existing `.prom`, creating an
-    /// empty event stream) and starts the flush thread.
+    /// Creates the sink files (truncating an existing `.prom` or event
+    /// stream, so a rerun never appends to an earlier run's events) and
+    /// starts the flush thread.
     ///
     /// # Errors
     /// I/O errors creating parent directories or opening either sink.
@@ -696,7 +697,7 @@ impl MetricsExporter {
         let events = config
             .events_path
             .as_deref()
-            .map(|p: &Path| fs::OpenOptions::new().create(true).append(true).open(p))
+            .map(|p: &Path| fs::File::create(p))
             .transpose()?;
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -1097,6 +1098,25 @@ mod tests {
             "periodic + final flush: {events_text:?}"
         );
         for line in events_text.lines() {
+            assert!(line.starts_with("{\"schema\": \"ceps-metrics/v1\""));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn exporter_replaces_an_existing_events_file() {
+        let dir = std::env::temp_dir().join("ceps_obs_exporter_truncate_test");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let events = dir.join("m.jsonl");
+        fs::write(&events, "stale line from an earlier run\n").unwrap();
+        MetricsExporter::start(ExporterConfig::new(5).events(&events))
+            .unwrap()
+            .stop();
+        let text = fs::read_to_string(&events).unwrap();
+        assert!(!text.contains("stale"), "events file appended to: {text:?}");
+        assert!(text.lines().count() >= 1, "final flush wrote an event");
+        for line in text.lines() {
             assert!(line.starts_with("{\"schema\": \"ceps-metrics/v1\""));
         }
         let _ = fs::remove_dir_all(&dir);

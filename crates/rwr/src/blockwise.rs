@@ -90,9 +90,8 @@ impl BlockwiseRwr {
             }
             for (i, &v) in block.iter().enumerate() {
                 // Row v of M restricted to in-block columns.
-                let (ids, coeffs) = transition.row(NodeId(v));
-                for (u, m) in ids.iter().zip(coeffs) {
-                    let j = local[*u as usize];
+                for (u, m) in transition.row(NodeId(v)) {
+                    let j = local[u.index()];
                     if j != u32::MAX {
                         a[i * nb + j as usize] -= c * m;
                     }

@@ -254,6 +254,8 @@ impl<'t> RwrEngine<'t> {
         // act[jj] = original query index of the jj-th still-active column.
         let mut act: Vec<usize> = (0..q_count).collect();
         let mut deltas = vec![0f64; q_count];
+        // sources[jj] = query node of the jj-th active column.
+        let mut sources: Vec<usize> = Vec::with_capacity(q_count);
         let mut newly: Vec<usize> = Vec::new();
 
         for it in 0..self.config.max_iterations {
@@ -270,19 +272,24 @@ impl<'t> RwrEngine<'t> {
                     .transition
                     .apply_block(&x[..n * a], &mut next[..n * a], a),
             }
-            deltas[..a].fill(0.0);
-            for u in 0..n {
-                let xrow = &x[u * a..u * a + a];
-                let nrow = &mut next[u * a..u * a + a];
-                for (jj, &orig) in act.iter().enumerate() {
-                    let v = c * nrow[jj]
-                        + if queries[orig].index() == u {
-                            restart
-                        } else {
-                            0.0
-                        };
-                    deltas[jj] += (v - xrow[jj]).abs();
-                    nrow[jj] = v;
+            // Restart pass: per column, ascending-node L1 delta (the same
+            // summation order as `solve_single`, so `final_delta` and the
+            // tolerance freeze stay bit-identical).
+            sources.clear();
+            sources.extend(act.iter().map(|&orig| queries[orig].index()));
+            let deltas = &mut deltas[..a];
+            deltas.fill(0.0);
+            for (u, (xrow, nrow)) in x[..n * a]
+                .chunks_exact(a)
+                .zip(next[..n * a].chunks_exact_mut(a))
+                .enumerate()
+            {
+                for (((nv, xv), d), &src) in
+                    nrow.iter_mut().zip(xrow).zip(&mut *deltas).zip(&sources)
+                {
+                    let v = c * *nv + if src == u { restart } else { 0.0 };
+                    *d += (v - xv).abs();
+                    *nv = v;
                 }
             }
             std::mem::swap(&mut x, &mut next);
