@@ -51,9 +51,9 @@
 //! a group's rows have similar lengths, so the loop exits once per group.
 //! Time per `apply_block` product, interleaved over CSR (median of 21
 //! alternating pairs), at widths 1/3/5/8: 0.50–0.55/0.57–0.65/0.72–0.75/
-//! 0.85–0.87 on medium and 0.68–0.78/0.79–0.83/0.80–0.88/1.04 on large (80K
-//! nodes, 1.58M arcs). Window sizes 64, 256 and 1024 measured the same
-//! within noise; they pad the arcs 1.090/1.068/1.062× on medium and
+//! 0.85–0.87 on medium and 0.68–0.78/0.79–0.83/0.80–0.88/0.99–1.04 on
+//! large (80K nodes, 1.58M arcs). Window sizes 64, 256 and 1024 measured
+//! the same within noise; they pad the arcs 1.090/1.068/1.062× on medium and
 //! 1.068/1.047/1.041× on large, and 256 keeps ~40 windows on medium for
 //! the pool's window-aligned chunks. The four accumulators must be
 //! separate locals: as one `[[f64; K]; 4]` array the compiler spilled them
