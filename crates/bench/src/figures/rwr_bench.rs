@@ -339,7 +339,8 @@ impl CsrOracle {
 /// (`sliced_ms`) against the [`CsrOracle`] sweep (`csr_ms`) on
 /// `workload`'s operator, for each of [`KERNEL_WIDTHS`].
 ///
-/// Each cell is the median over 21 alternating pairs; a sample repeats
+/// Each cell is the median over 21 alternating pairs (a
+/// [`ceps_obs::Histogram`] estimate, within 1/32); a sample repeats
 /// the product until it covers about 2²⁰ multiply-adds, so small presets
 /// are not timed at the clock's resolution.
 /// `sliced_speedup = csr_ms / sliced_ms`.
@@ -386,23 +387,21 @@ pub fn sliced_vs_csr(workload: &Workload, params: &RwrBenchParams) -> Table {
             }
             t.elapsed().as_secs_f64() * 1e3 / reps as f64
         };
-        let mut csr = Vec::with_capacity(KERNEL_PAIRS);
-        let mut sliced = Vec::with_capacity(KERNEL_PAIRS);
+        let mut csr = ceps_obs::Histogram::new();
+        let mut sliced = ceps_obs::Histogram::new();
         for pair in 0..KERNEL_PAIRS {
             let mut run_csr = || oracle.apply_block(black_box(&x), &mut want, cols);
             let mut run_sliced = || transition.apply_block(black_box(&x), &mut got, cols);
             if pair % 2 == 0 {
-                csr.push(time(&mut run_csr));
-                sliced.push(time(&mut run_sliced));
+                csr.record(time(&mut run_csr));
+                sliced.record(time(&mut run_sliced));
             } else {
-                sliced.push(time(&mut run_sliced));
-                csr.push(time(&mut run_csr));
+                sliced.record(time(&mut run_sliced));
+                csr.record(time(&mut run_csr));
             }
         }
-        csr.sort_by(f64::total_cmp);
-        sliced.sort_by(f64::total_cmp);
-        let csr_ms = ceps_obs::nearest_rank(&csr, 50.0);
-        let sliced_ms = ceps_obs::nearest_rank(&sliced, 50.0);
+        let csr_ms = csr.percentile_from_buckets(50.0);
+        let sliced_ms = sliced.percentile_from_buckets(50.0);
         table.push_row(vec![cols as f64, csr_ms, sliced_ms, csr_ms / sliced_ms]);
     }
     table

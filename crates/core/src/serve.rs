@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ceps_graph::{IntoSharedGraph, NodeId};
-use ceps_obs::TraceContext;
+use ceps_obs::{Histogram, TraceContext};
 use ceps_rwr::{
     row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceStats, Coalescer,
     RwrRowCache, ScoreMatrix,
@@ -513,7 +513,7 @@ impl CepsService {
                 .map(|w| {
                     let cursor = &cursor;
                     s.spawn(move |_| {
-                        let mut latencies = Vec::new();
+                        let mut latency = Histogram::new();
                         let mut stages = StageTimes::default();
                         let mut first_err = None;
                         loop {
@@ -532,7 +532,7 @@ impl CepsService {
                             };
                             match self.handle(queries, origin, tracer) {
                                 (Ok((_, metrics)), latency_ms) => {
-                                    latencies.push(latency_ms);
+                                    latency.record(latency_ms);
                                     stages.accumulate(&metrics.stages);
                                 }
                                 (Err(e), _) => {
@@ -542,7 +542,7 @@ impl CepsService {
                                 }
                             }
                         }
-                        (latencies, stages, first_err)
+                        (latency, stages, first_err)
                     })
                 })
                 .collect();
@@ -554,13 +554,13 @@ impl CepsService {
         .expect("serve scope panicked");
 
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let mut latencies_ms = Vec::with_capacity(stream.len());
+        let mut latency = Histogram::new();
         let mut stages = StageTimes::default();
-        for (lats, worker_stages, err) in per_worker {
+        for (worker_latency, worker_stages, err) in per_worker {
             if let Some(e) = err {
                 return Err(e);
             }
-            latencies_ms.extend(lats);
+            latency.merge(&worker_latency);
             stages.accumulate(&worker_stages);
         }
 
@@ -574,13 +574,7 @@ impl CepsService {
             singleflight_waits: after.singleflight_waits - before.singleflight_waits,
         });
 
-        Ok(ServeOutcome::new(
-            workers,
-            wall_ms,
-            latencies_ms,
-            stages,
-            cache,
-        ))
+        Ok(ServeOutcome::new(workers, wall_ms, latency, stages, cache))
     }
 }
 
@@ -661,14 +655,9 @@ pub struct ServeOutcome {
     pub workers: usize,
     /// Wall-clock time for the whole stream, milliseconds.
     pub wall_ms: f64,
-    /// Per-query latencies in milliseconds, **sorted ascending**.
-    ///
-    /// Invariant: [`ServeOutcome::latency_percentile_ms`] indexes this
-    /// vector by nearest rank and is only correct when it is sorted.
-    /// [`ServeOutcome::new`] establishes the order (worker completion
-    /// order is nondeterministic under concurrency); construct outcomes
-    /// through it rather than with a struct literal.
-    pub latencies_ms: Vec<f64>,
+    /// Per-query latencies in milliseconds, one observation per
+    /// completed query.
+    pub latency: Histogram,
     /// Summed per-stage wall times across all completed requests — the
     /// stage-level latency breakdown (CPU-time sum, not wall-clock: with
     /// multiple workers it exceeds `wall_ms`).
@@ -678,23 +667,20 @@ pub struct ServeOutcome {
 }
 
 impl ServeOutcome {
-    /// Builds an outcome from raw per-request measurements, sorting
-    /// `latencies_ms` to establish the invariant
-    /// [`latency_percentile_ms`](ServeOutcome::latency_percentile_ms)
-    /// depends on. `completed` is derived from the latency count.
+    /// Builds an outcome from per-request measurements; `completed` is
+    /// the latency histogram's count.
     pub fn new(
         workers: usize,
         wall_ms: f64,
-        mut latencies_ms: Vec<f64>,
+        latency: Histogram,
         stages: StageTimes,
         cache: Option<CacheStats>,
     ) -> Self {
-        latencies_ms.sort_by(f64::total_cmp);
         ServeOutcome {
-            completed: latencies_ms.len(),
+            completed: latency.count() as usize,
             workers,
             wall_ms,
-            latencies_ms,
+            latency,
             stages,
             cache,
         }
@@ -709,12 +695,12 @@ impl ServeOutcome {
         }
     }
 
-    /// The `p`-th latency percentile (nearest-rank), or 0 when nothing
-    /// completed. `p` is clamped into `[0, 100]` — `p <= 0` returns the
-    /// minimum, `p >= 100` (and non-finite `p`) the maximum — so the
-    /// result is never `NaN` and never indexes out of bounds.
+    /// The `p`-th latency percentile, within 1/32 of the true sample at
+    /// that rank, or 0 when nothing completed. `p <= 0` returns the
+    /// minimum, `p >= 100` (and non-finite `p`) the maximum, so the result
+    /// is never `NaN`.
     pub fn latency_percentile_ms(&self, p: f64) -> f64 {
-        ceps_obs::nearest_rank(&self.latencies_ms, p)
+        self.latency.percentile_from_buckets(p)
     }
 
     /// Mean per-request stage times — [`ServeOutcome::stages`] divided by
@@ -829,7 +815,7 @@ mod tests {
         let out = service.serve_stream(&stream, 3, None).unwrap();
         assert_eq!(out.completed, 12);
         assert_eq!(out.workers, 3);
-        assert_eq!(out.latencies_ms.len(), 12);
+        assert_eq!(out.latency.count(), 12);
         assert!(out.throughput_qps() > 0.0);
         assert!(out.latency_percentile_ms(50.0) <= out.latency_percentile_ms(99.0));
         let cache = out.cache.unwrap();
@@ -849,7 +835,7 @@ mod tests {
         let mean = out.mean_stage_ms();
         assert!((mean.total_ms() - out.stages.total_ms() / 6.0).abs() < 1e-9);
         // The per-stage sum accounts for most of each request's latency.
-        let latency_sum: f64 = out.latencies_ms.iter().sum();
+        let latency_sum = out.latency.mean() * out.completed as f64;
         assert!(out.stages.total_ms() <= latency_sum);
     }
 
@@ -859,7 +845,7 @@ mod tests {
             completed: 0,
             workers: 1,
             wall_ms: 0.0,
-            latencies_ms: vec![],
+            latency: Histogram::new(),
             stages: StageTimes::default(),
             cache: None,
         };
@@ -875,19 +861,20 @@ mod tests {
     #[test]
     fn outcome_constructor_sorts_unsorted_latencies() {
         // Multi-worker completion order is nondeterministic; feed the
-        // constructor a deliberately unsorted vector and check percentiles
-        // come out as if it had been sorted.
-        let out = ServeOutcome::new(
-            2,
-            10.0,
-            vec![4.0, 1.0, 3.0, 2.0],
-            StageTimes::default(),
-            None,
-        );
+        // constructor deliberately unsorted latencies and check percentiles
+        // come out as if they had been sorted.
+        let mut latency = Histogram::new();
+        for v in [4.0, 1.0, 3.0, 2.0] {
+            latency.record(v);
+        }
+        let out = ServeOutcome::new(2, 10.0, latency, StageTimes::default(), None);
         assert_eq!(out.completed, 4);
-        assert_eq!(out.latencies_ms, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(out.latency_percentile_ms(0.0), 1.0);
-        assert_eq!(out.latency_percentile_ms(50.0), 2.0);
+        let p50 = out.latency_percentile_ms(50.0);
+        assert!(
+            (p50 - 2.0).abs() <= 2.0 / 32.0,
+            "p50 {p50} within 1/32 of 2"
+        );
         assert_eq!(out.latency_percentile_ms(100.0), 4.0);
     }
 

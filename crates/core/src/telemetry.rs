@@ -9,10 +9,10 @@
 //! * **Head sampling** — a deterministic hash of the request id against
 //!   the configured rate, so a 1% rate keeps a reproducible 1% of traffic
 //!   regardless of worker scheduling.
-//! * **Tail sampling** — the tracer feeds every latency into a windowed
-//!   log₂ histogram ([`ceps_obs::Histogram`]) and *always* keeps requests
-//!   slower than the current p99 estimate (once
-//!   [`TAIL_WARMUP`] observations exist), so the interesting outliers
+//! * **Tail sampling** — the tracer feeds every latency into one
+//!   cumulative [`ceps_obs::Histogram`] (never reset) and *always* keeps
+//!   requests slower than its p99 estimate (once [`TAIL_WARMUP`]
+//!   observations exist): about 1% of a stationary stream, so outliers
 //!   survive even aggressive head rates.
 //!
 //! Emission is a single locked write per sampled request; unsampled
@@ -77,7 +77,8 @@ pub struct RequestTrace {
 pub enum SampleKind {
     /// Request id hashed under the head-sampling rate.
     Head,
-    /// Latency above the windowed p99 — kept regardless of the rate.
+    /// Latency above the p99 of every earlier request — kept regardless
+    /// of the rate.
     Tail,
 }
 
@@ -340,6 +341,26 @@ pub(crate) mod tests {
         assert!(lines[0].contains("\"sampled\": \"tail\""));
         // Normal latency right after is still dropped.
         assert_eq!(t.record(&trace(1000, 1.0)), None);
+    }
+
+    #[test]
+    fn tail_sampling_keeps_about_one_percent_of_a_stationary_stream() {
+        // Uniform [10, 20) ms: a p99 estimate clamped to the running max
+        // would keep only new maxima (a few hundredths of a percent).
+        let t = RequestTracer::new(Box::new(SharedBuf::default()), 0.0);
+        let mut state = 0x7a11_u64;
+        let draws = 20_000u64;
+        let kept = (0..draws)
+            .filter(|&i| {
+                let u = (ceps_obs::splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                t.record(&trace(i, 10.0 + 10.0 * u)) == Some(SampleKind::Tail)
+            })
+            .count();
+        let share = kept as f64 / (draws - TAIL_WARMUP) as f64;
+        assert!(
+            (0.005..=0.02).contains(&share),
+            "tail-kept share {share} (kept {kept} of {draws})"
+        );
     }
 
     #[test]

@@ -104,7 +104,8 @@ pub struct PhaseReport {
     pub sheds: u64,
     /// Protocol or transport failures.
     pub errors: u64,
-    /// Intended-time latency percentiles (milliseconds).
+    /// Intended-time latency percentiles (milliseconds), each within
+    /// 1/32 of the true sample at its rank ([`ceps_obs::Histogram`]).
     pub p50_ms: f64,
     /// 90th percentile.
     pub p90_ms: f64,
@@ -120,14 +121,11 @@ pub struct PhaseReport {
 
 impl PhaseReport {
     fn from_samples(samples: &[Sample]) -> PhaseReport {
-        let mut lat: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
-        lat.sort_by(f64::total_cmp);
-        let pct = |p: f64| ceps_obs::nearest_rank(&lat, p);
-        let mean_ms = if lat.is_empty() {
-            0.0
-        } else {
-            samples.iter().fold(0.0, |sum, s| sum + s.latency_ms) / lat.len() as f64
-        };
+        let mut lat = ceps_obs::Histogram::new();
+        for s in samples {
+            lat.record(s.latency_ms);
+        }
+        let pct = |p: f64| lat.percentile_from_buckets(p);
         PhaseReport {
             count: samples.len() as u64,
             ok: samples.iter().filter(|s| s.outcome == Outcome::Ok).count() as u64,
@@ -143,8 +141,8 @@ impl PhaseReport {
             p90_ms: pct(90.0),
             p99_ms: pct(99.0),
             p999_ms: pct(99.9),
-            max_ms: lat.last().copied().unwrap_or(0.0),
-            mean_ms,
+            max_ms: pct(100.0),
+            mean_ms: lat.mean(),
         }
     }
 

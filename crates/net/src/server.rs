@@ -35,8 +35,8 @@
 //! attributable either way. Sheds and error replies are noted in the
 //! flight recorder (when enabled), and a `DumpFlight` frame returns the
 //! ring as `ceps-flight/v1` JSONL. `Stats` replies to a full health
-//! snapshot: counters, in-flight, cache stats, and windowed latency
-//! percentiles over the last [`LATENCY_WINDOW`] queries.
+//! snapshot: counters, in-flight, cache stats, and latency percentiles
+//! over the last 512–1,023 queries ([`LATENCY_WINDOW`]).
 
 use std::collections::VecDeque;
 use std::io;
@@ -45,7 +45,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ceps_core::{infer_soft_and_k, CepsService, RequestOrigin, RequestTracer, ServeReply};
-use ceps_obs::{counter, flight_note, nearest_rank, record, FlightKind, TraceContext};
+use ceps_obs::{counter, flight_note, record, FlightKind, Histogram, TraceContext};
 
 use crate::transport::{Conn, Transport};
 use crate::wire::{
@@ -142,9 +142,34 @@ impl Drop for AdmissionPermit {
     }
 }
 
-/// Recent query latencies retained for the windowed percentiles in
-/// [`ServerStats`].
+/// Observations per half of the [`ServerStats`] percentile window: a
+/// current and a previous histogram rotate every `LATENCY_WINDOW` queries,
+/// so the window holds the last 512–1,023 (all, before the first rotation).
 pub const LATENCY_WINDOW: usize = 512;
+
+/// One series of the `Stats` window: the histogram being filled and the
+/// full one it last replaced.
+#[derive(Default)]
+struct RecentHistogram {
+    current: Histogram,
+    previous: Histogram,
+}
+
+impl RecentHistogram {
+    fn record(&mut self, value: f64) {
+        self.current.record(value);
+        if self.current.count() == LATENCY_WINDOW as u64 {
+            self.previous = std::mem::take(&mut self.current);
+        }
+    }
+
+    /// Both halves as one histogram.
+    fn merged(&self) -> Histogram {
+        let mut both = self.previous.clone();
+        both.merge(&self.current);
+        both
+    }
+}
 
 /// Row-cache counters in wire form (mirrors `ceps_core::CacheStats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -179,8 +204,8 @@ pub struct ServerStats {
     pub in_flight: usize,
     /// Milliseconds since the server was created.
     pub uptime_ms: u64,
-    /// Median query latency over the last [`LATENCY_WINDOW`] queries
-    /// (0 until a query completed).
+    /// Median query latency over the last 512–1,023 queries (see
+    /// [`LATENCY_WINDOW`]), within 1/32; 0 until a query completed.
     #[serde(default)]
     pub p50_ms: f64,
     /// 90th-percentile windowed query latency.
@@ -288,8 +313,8 @@ pub struct CepsServer {
     counters: Counters,
     started: Instant,
     tracer: Option<RequestTracer>,
-    latencies: Mutex<VecDeque<f64>>,
-    queue_delays: Mutex<VecDeque<f64>>,
+    latencies: Mutex<RecentHistogram>,
+    queue_delays: Mutex<RecentHistogram>,
 }
 
 impl CepsServer {
@@ -308,8 +333,8 @@ impl CepsServer {
             counters: Counters::default(),
             started: Instant::now(),
             tracer: None,
-            latencies: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
-            queue_delays: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
+            latencies: Mutex::default(),
+            queue_delays: Mutex::default(),
         }
     }
 
@@ -332,49 +357,27 @@ impl CepsServer {
         &self.service
     }
 
-    /// Feeds one completed query latency into the bounded window behind
-    /// the `Stats` percentiles. Returns the p99 of the window *before*
-    /// this query so callers can mark slow requests — computed only when
-    /// the flight recorder (its sole consumer) is enabled and the window
-    /// is warm; 0 otherwise.
+    /// Feeds one completed query latency into the window behind the
+    /// `Stats` percentiles. Returns the window's p99 *before* this query
+    /// so callers can mark slow requests — computed only when the flight
+    /// recorder (its sole consumer) is enabled and the window holds 32
+    /// queries; 0 otherwise.
     fn note_latency(&self, latency_ms: f64) -> f64 {
-        let mut ring = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        let p99 = if ceps_obs::flight_enabled() && ring.len() >= 32 {
-            let [p99] = percentiles(&ring, [99.0]);
-            p99
-        } else {
-            0.0
-        };
-        if ring.len() == LATENCY_WINDOW {
-            ring.pop_front();
-        }
-        ring.push_back(latency_ms);
+        let mut window = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
+        let recent = ceps_obs::flight_enabled().then(|| window.merged());
+        let p99 = recent
+            .filter(|h| h.count() >= 32)
+            .map_or(0.0, |h| h.percentile_from_buckets(99.0));
+        window.record(latency_ms);
         p99
     }
 
-    /// Windowed latency percentiles over the retained ring.
-    fn latency_percentiles(&self) -> (f64, f64, f64) {
-        let ring = self.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        let [p50, p90, p99] = percentiles(&ring, [50.0, 90.0, 99.0]);
-        (p50, p90, p99)
-    }
-
     /// Feeds one request's queue delay (frame decode → execution start)
-    /// into its bounded window and the `net.queue_ms` histogram.
+    /// into its window and the `net.queue_ms` histogram.
     fn note_queue_delay(&self, queue_ms: f64) {
         record("net.queue_ms", queue_ms);
-        let mut ring = self.queue_delays.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() == LATENCY_WINDOW {
-            ring.pop_front();
-        }
-        ring.push_back(queue_ms);
-    }
-
-    /// Windowed queue-delay percentiles over the retained ring.
-    fn queue_percentiles(&self) -> (f64, f64) {
-        let ring = self.queue_delays.lock().unwrap_or_else(|e| e.into_inner());
-        let [p50, p99] = percentiles(&ring, [50.0, 99.0]);
-        (p50, p99)
+        let mut window = self.queue_delays.lock().unwrap_or_else(|e| e.into_inner());
+        window.record(queue_ms);
     }
 
     /// The admission gate (tests hold permits to force `Overloaded`).
@@ -400,8 +403,9 @@ impl CepsServer {
     /// reply, the drain summary [`serve`](Self::serve) returns, and any
     /// CLI rendering all go through here, so the surfaces cannot drift.
     pub fn stats(&self) -> ServerStats {
-        let (p50_ms, p90_ms, p99_ms) = self.latency_percentiles();
-        let (queue_p50_ms, queue_p99_ms) = self.queue_percentiles();
+        let merged =
+            |w: &Mutex<RecentHistogram>| w.lock().unwrap_or_else(|e| e.into_inner()).merged();
+        let (latency, queue) = (merged(&self.latencies), merged(&self.queue_delays));
         let health = self.service.serve_health();
         ServerStats {
             proto: WIRE_VERSION.to_string(),
@@ -412,11 +416,11 @@ impl CepsServer {
             errors: self.counters.errors.load(Ordering::Relaxed),
             in_flight: self.admission.in_flight(),
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            p50_ms,
-            p90_ms,
-            p99_ms,
-            queue_p50_ms,
-            queue_p99_ms,
+            p50_ms: latency.percentile_from_buckets(50.0),
+            p90_ms: latency.percentile_from_buckets(90.0),
+            p99_ms: latency.percentile_from_buckets(99.0),
+            queue_p50_ms: queue.percentile_from_buckets(50.0),
+            queue_p99_ms: queue.percentile_from_buckets(99.0),
             cache: self.service.cache_stats().map(|c| WireCacheStats {
                 hits: c.hits,
                 misses: c.misses,
@@ -677,13 +681,6 @@ impl CepsServer {
             ),
         }
     }
-}
-
-/// Nearest-rank percentiles of a bounded window, one sort for all `ps`.
-fn percentiles<const N: usize>(ring: &VecDeque<f64>, ps: [f64; N]) -> [f64; N] {
-    let mut sorted: Vec<f64> = ring.iter().copied().collect();
-    sorted.sort_by(f64::total_cmp);
-    ps.map(|p| nearest_rank(&sorted, p))
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 //! * **Gauges** — point-in-time `i64` levels ([`gauge_set`]/[`gauge_add`]),
 //!   e.g. queue depth or in-flight requests; exported to Prometheus as
 //!   `# TYPE gauge`.
-//! * **Histograms** — fixed-bucket log₂-scale distributions over `f64`
-//!   values ([`record`]); 64 buckets spanning `[2⁻³², 2³²)` with under- and
-//!   overflow clamped to the edge buckets.
+//! * **Histograms** — log-linear [`Histogram`]s over `f64` values
+//!   ([`record`]): 32 buckets per octave over `[2⁻³², 2³²)`, every
+//!   percentile estimate within 1/32 of the true sample at its rank.
 //!
 //! All four are **compiled-in no-ops until a recorder is installed**: the
 //! hot path pays exactly one relaxed atomic load and a branch when
@@ -48,6 +48,7 @@
 
 mod context;
 pub mod flight;
+mod histogram;
 mod logger;
 mod meta;
 mod registry;
@@ -63,6 +64,7 @@ pub use flight::{
     flight_note, flight_reset, install_flight_panic_hook, FlightKind, DEFAULT_FLIGHT_CAPACITY,
     FLIGHT_SCHEMA,
 };
+pub use histogram::Histogram;
 pub use logger::{init_log_default, log, log_enabled, set_log_level, set_log_off, Level};
 pub use meta::{git_sha, now_iso8601, RunMeta};
 pub use registry::{
@@ -71,6 +73,6 @@ pub use registry::{
 };
 pub use snapshot::{json_f64, json_str, BucketExemplar, HistogramStat, MetricsSnapshot, SpanStat};
 pub use window::{
-    metrics_event_json, nearest_rank, to_prometheus, CounterRate, ExporterConfig, Histogram,
-    HistogramWindow, MetricsExporter, WindowDelta, WindowedMetrics,
+    metrics_event_json, to_prometheus, CounterRate, ExporterConfig, HistogramWindow,
+    MetricsExporter, WindowDelta, WindowedMetrics,
 };

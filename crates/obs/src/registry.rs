@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use crate::context::current_trace;
 use crate::flight::{flight_event, FlightKind};
+use crate::histogram::{bucket_index, upper_edge, Histogram};
 use crate::snapshot::{BucketExemplar, MetricsSnapshot, SpanStat};
-use crate::window::Histogram;
 
 /// Global on/off gate. The only cost instrumented code pays when
 /// observability is off is one relaxed load of this flag plus a branch.
@@ -47,7 +47,6 @@ pub fn snapshot() -> MetricsSnapshot {
 }
 
 const SHARDS: usize = 8;
-pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// FNV-1a over the key bytes, used only to pick a shard.
 fn shard_of(key: &[u8]) -> usize {
@@ -81,37 +80,13 @@ impl Default for SpanAgg {
 }
 
 /// A named registry histogram: the public [`Histogram`] plus its exemplars.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct TracedHistogram {
     hist: Histogram,
-    /// Last contributing `(trace_id, value)` per bucket; `trace_id` 0
-    /// means the bucket never saw a traced observation. A p99 spike in
-    /// a high bucket thus names a concrete, dumpable request.
-    exemplars: Vec<(u64, f64)>,
-}
-
-impl Default for TracedHistogram {
-    fn default() -> Self {
-        TracedHistogram {
-            hist: Histogram::new(),
-            exemplars: vec![(0, 0.0); HIST_BUCKETS],
-        }
-    }
-}
-
-/// Bucket `i` covers `[2^(i-32), 2^(i-31))`; non-positive and subnormal
-/// values fall into bucket 0, huge values clamp into the last bucket.
-pub(crate) fn bucket_index(v: f64) -> usize {
-    if !v.is_finite() || v <= 0.0 {
-        return 0;
-    }
-    let e = v.log2().floor() as i64;
-    (e + 32).clamp(0, HIST_BUCKETS as i64 - 1) as usize
-}
-
-/// Exclusive upper bound of bucket `i`.
-pub(crate) fn bucket_upper(i: usize) -> f64 {
-    2f64.powi(i as i32 - 31)
+    /// Last traced observation per bucket that saw one, ascending by
+    /// `le`. A p99 spike in a high bucket thus names a concrete, dumpable
+    /// request.
+    exemplars: Vec<BucketExemplar>,
 }
 
 #[derive(Default)]
@@ -175,7 +150,16 @@ impl Registry {
         let traced = shard.histograms.entry(name).or_default();
         traced.hist.record(value);
         if trace_id != 0 {
-            traced.exemplars[bucket_index(value)] = (trace_id, value);
+            let le = upper_edge(bucket_index(value));
+            let e = BucketExemplar {
+                le,
+                trace_id,
+                value,
+            };
+            match traced.exemplars.binary_search_by(|x| x.le.total_cmp(&le)) {
+                Ok(k) => traced.exemplars[k] = e,
+                Err(k) => traced.exemplars.insert(k, e),
+            }
         }
     }
 
@@ -213,18 +197,9 @@ impl Registry {
                 gauges.push((name.to_string(), value));
             }
             for (&name, traced) in &shard.histograms {
-                let exemplars = traced
-                    .exemplars
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(id, _))| id != 0)
-                    .map(|(i, &(trace_id, value))| BucketExemplar {
-                        le: bucket_upper(i),
-                        trace_id,
-                        value,
-                    })
-                    .collect();
-                histograms.push(traced.hist.to_stat(name.to_string(), exemplars));
+                let mut stat = traced.hist.to_stat(name);
+                stat.exemplars.clone_from(&traced.exemplars);
+                histograms.push(stat);
             }
         }
         spans.sort_by(|a, b| a.path.cmp(&b.path));
@@ -475,10 +450,20 @@ mod tests {
         assert!((h.sum - 9.0).abs() < 1e-12);
         assert_eq!(h.min, 0.5);
         assert_eq!(h.max, 4.5);
-        // 0.5 and NaN share the low buckets; 4.0 and 4.5 share one bucket.
+        // NaN lands in the first bucket; 0.5, 4.0 and 4.5 each get their
+        // own, whose upper edge lies within 1/32 above the value.
         let total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 4);
-        assert!(h.buckets.iter().any(|&(ub, c)| c == 2 && ub == 8.0));
+        assert_eq!(h.buckets.len(), 4);
+        for v in [0.5, 4.0, 4.5] {
+            assert!(
+                h.buckets
+                    .iter()
+                    .any(|&(le, c)| c == 1 && le > v && le <= v * (1.0 + 1.0 / 32.0)),
+                "{v} in its own bucket: {:?}",
+                h.buckets
+            );
+        }
     }
 
     #[test]
@@ -489,23 +474,6 @@ mod tests {
         assert!(out > 0);
         assert!(dur.as_nanos() > 0 || dur.is_zero()); // just types/flow; no panic
         assert!(snapshot().spans.iter().all(|s| s.path != "t"));
-    }
-
-    #[test]
-    fn bucket_index_is_monotone_and_clamped() {
-        assert_eq!(bucket_index(-1.0), 0);
-        assert_eq!(bucket_index(0.0), 0);
-        assert_eq!(bucket_index(f64::INFINITY), 0);
-        let mut prev = 0;
-        for e in -40..40 {
-            let idx = bucket_index(2f64.powi(e) * 1.5);
-            assert!(idx >= prev, "bucket index must be monotone in the value");
-            assert!(idx < HIST_BUCKETS);
-            prev = idx;
-        }
-        // A value sits strictly below its bucket's upper bound.
-        let v = 100.0;
-        assert!(v < bucket_upper(bucket_index(v)));
     }
 
     fn busy(n: u64) -> u64 {

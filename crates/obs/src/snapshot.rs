@@ -21,8 +21,8 @@
 //!   "gauges": {"net.in_flight": 2},
 //!   "histograms": [
 //!     {"name": "rwr.iterations", "count": 3, "sum": 150.0, "min": 50.0,
-//!      "max": 50.0, "buckets": [{"le": 64.0, "count": 3}],
-//!      "exemplars": [{"le": 64.0, "trace_id": "00f1e2d3c4b5a697", "value": 50.0}]}
+//!      "max": 50.0, "buckets": [{"le": 51.0, "count": 3}],
+//!      "exemplars": [{"le": 51.0, "trace_id": "00f1e2d3c4b5a697", "value": 50.0}]}
 //!   ]
 //! }
 //! ```
@@ -30,7 +30,7 @@
 //! `spans` is sorted by path, `counters` and `gauges` by name (`gauges`
 //! are point-in-time levels such as queue depth, not monotonic totals);
 //! `buckets` lists only
-//! non-empty log₂ buckets with their exclusive upper bound `le`. The file
+//! non-empty [`Histogram`](crate::Histogram) buckets, by upper bound `le`. The file
 //! is written next to `BENCH_*.json` under `results/` so per-stage cost
 //! trajectories stay diffable across PRs. `exemplars` lists, per bucket
 //! that ever saw a traced observation, the last contributing `trace_id`
@@ -72,7 +72,7 @@
 //!  "histograms": [
 //!    {"name": "serve.latency_ms", "total_count": 128, "count": 16,
 //!     "per_s": 8.0, "mean": 1.9, "p50": 1.7, "p90": 2.9, "p99": 3.6,
-//!     "exemplars": [{"le": 4.0, "trace_id": "00f1e2d3c4b5a697",
+//!     "exemplars": [{"le": 3.625, "trace_id": "00f1e2d3c4b5a697",
 //!                    "value": 3.6}]}
 //!  ],
 //!  "spans": [{"path": "serve.request", "count": 128, "total_ms": 240.0}]}
@@ -98,8 +98,9 @@
 //! ```
 //!
 //! `sampled` is `"head"` (request id hashed under the `--trace-sample`
-//! rate) or `"tail"` (latency above the tracer's windowed p99 estimate —
-//! slow requests are always kept). `outcome` is `"ok"` or `"error"`.
+//! rate) or `"tail"` (latency above the p99 of every request the tracer
+//! has seen — slow requests are always kept). `outcome` is `"ok"` or
+//! `"error"`.
 //! `queue_ms` is the gap between frame decode and execution start
 //! (admission/queue wait, charged to the server), `latency_ms` the
 //! service time proper; 0 for in-process serving with no wire.
@@ -122,6 +123,7 @@
 
 use std::fmt::Write as _;
 
+use crate::histogram::estimate;
 use crate::meta::RunMeta;
 
 /// Aggregated statistics for one span path.
@@ -178,9 +180,9 @@ pub struct HistogramStat {
     pub min: f64,
     /// Largest finite observation (0 if none).
     pub max: f64,
-    /// Non-empty log₂ buckets as `(exclusive upper bound, count)`.
+    /// Non-empty buckets as `(exclusive upper bound, count)`, ascending.
     pub buckets: Vec<(f64, u64)>,
-    /// Last traced observation per bucket, for buckets that saw one.
+    /// Last traced observation per bucket that saw one, ascending by `le`.
     /// Empty unless observations were recorded under a sampled
     /// [`TraceContext`](crate::TraceContext).
     pub exemplars: Vec<BucketExemplar>,
@@ -196,12 +198,16 @@ impl HistogramStat {
         }
     }
 
-    /// Estimates the `p`-th percentile from the log₂ bucket counts, using
-    /// the same estimator as [`Histogram`](crate::Histogram): nearest-rank
-    /// bucket selection, linear interpolation inside the bucket, clamped
-    /// to the observed `[min, max]`. Returns 0 when empty.
+    /// Estimates the `p`-th percentile from the bucket counts with the
+    /// [`Histogram`](crate::Histogram) estimator: within 1/32 of the true
+    /// sample at that rank. Returns 0 when empty.
     pub fn percentile_from_buckets(&self, p: f64) -> f64 {
-        crate::window::estimate_percentile(&self.buckets, self.count, self.min, self.max, p)
+        estimate(
+            self.buckets.iter().copied(),
+            self.count,
+            (self.min, self.max),
+            p,
+        )
     }
 
     /// The exemplar recorded for the bucket with upper bound `le`, if any.

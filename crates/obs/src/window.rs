@@ -5,14 +5,11 @@
 //! serving process needs the other view — "what happened in the last few
 //! seconds" — so this module adds:
 //!
-//! * [`Histogram`] — a standalone 64-bucket log₂ histogram with
-//!   [`Histogram::percentile_from_buckets`], the estimator the tail-sampler
-//!   and the windowed rates share (the registry's internal histograms use
-//!   the identical bucket layout).
 //! * [`WindowedMetrics`] — a bounded ring of timestamped registry
 //!   snapshots with [`WindowedMetrics::delta`] computing counter deltas,
 //!   per-second rates, and percentiles over only the observations that
-//!   arrived inside the window.
+//!   arrived inside the window (estimated on the
+//!   [`Histogram`](crate::Histogram) grid).
 //! * [`MetricsExporter`] — a background thread that snapshots the registry
 //!   every N ms and flushes to two sinks: a Prometheus text-exposition file
 //!   ([`to_prometheus`]) rewritten on every flush, and a JSONL event
@@ -43,168 +40,8 @@ use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::context::id_hex;
-use crate::registry::{bucket_index, bucket_upper, HIST_BUCKETS};
-use crate::snapshot::{json_f64, json_str, BucketExemplar, HistogramStat, MetricsSnapshot};
-
-/// A fixed-bucket log₂ histogram over positive `f64` values (64 buckets
-/// spanning `[2⁻³², 2³²)`, under-/overflow clamped to the edge buckets).
-/// The registry's named histograms are this type plus per-bucket
-/// exemplars.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: Vec<u64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: vec![0; HIST_BUCKETS],
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation. Non-finite values count toward `count` but
-    /// are excluded from `sum`/`min`/`max` and land in the underflow bucket.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        if value.is_finite() {
-            self.sum += value;
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.buckets[bucket_index(value)] += 1;
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the finite observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimates the `p`-th percentile from the bucket counts.
-    ///
-    /// Nearest-rank into the bucketed CDF with linear interpolation inside
-    /// the selected bucket, clamped to the observed `[min, max]` range —
-    /// the estimate always lands within the selected bucket's bounds.
-    /// Returns 0 when empty; `p <= 0` returns the minimum, `p >= 100` (and
-    /// non-finite `p`) the maximum.
-    pub fn percentile_from_buckets(&self, p: f64) -> f64 {
-        estimate_percentile(&self.sparse_buckets(), self.count, self.min, self.max, p)
-    }
-
-    /// Non-empty buckets as `(exclusive upper bound, count)`, ascending.
-    fn sparse_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-            .collect()
-    }
-
-    /// The snapshot form of this histogram under `name` (an empty
-    /// histogram reports `min`/`max` as 0).
-    pub(crate) fn to_stat(&self, name: String, exemplars: Vec<BucketExemplar>) -> HistogramStat {
-        HistogramStat {
-            name,
-            count: self.count,
-            sum: self.sum,
-            min: if self.min.is_finite() { self.min } else { 0.0 },
-            max: if self.max.is_finite() { self.max } else { 0.0 },
-            buckets: self.sparse_buckets(),
-            exemplars,
-        }
-    }
-}
-
-/// Percentile estimation over sparse `(exclusive upper bound, count)` log₂
-/// buckets: nearest-rank selection of the bucket, linear interpolation
-/// within it, clamped to `[min, max]` when those are finite.
-///
-/// This is the single estimator shared by [`Histogram`],
-/// [`crate::HistogramStat::percentile_from_buckets`] and the windowed
-/// deltas, so p99s agree no matter which surface computed them.
-pub(crate) fn estimate_percentile(
-    buckets: &[(f64, u64)],
-    total: u64,
-    min: f64,
-    max: f64,
-    p: f64,
-) -> f64 {
-    if total == 0 || buckets.is_empty() {
-        return 0.0;
-    }
-    let lo = if min.is_finite() { min } else { 0.0 };
-    let hi = if max.is_finite() {
-        max
-    } else {
-        buckets.last().map_or(0.0, |&(ub, _)| ub)
-    };
-    if !p.is_finite() || p >= 100.0 {
-        return hi;
-    }
-    if p <= 0.0 {
-        return lo;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for &(ub, c) in buckets {
-        if cum + c >= rank {
-            // Log₂ bucket i spans [ub/2, ub); interpolate by rank position.
-            let lb = ub / 2.0;
-            let frac = (rank - cum) as f64 / c as f64;
-            let est = lb + (ub - lb) * frac;
-            return est.clamp(lo.min(ub), hi.min(ub)).max(lb.min(hi));
-        }
-        cum += c;
-    }
-    hi
-}
-
-/// Exact nearest-rank `p`-th percentile of an **ascending-sorted** slice:
-/// the element at rank `⌈p/100 · n⌉`. `p` is clamped into `[0, 100]` —
-/// `p <= 0` gives the minimum, `p >= 100` and non-finite `p` the maximum —
-/// and an empty slice gives 0, so the result is never `NaN` and never
-/// indexes out of bounds.
-///
-/// The one sample-based percentile in the workspace: serving outcomes, the
-/// wire server's windowed rings and the load generator's phase reports all
-/// call it, so their p99s agree on the same samples.
-pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let p = if p.is_finite() {
-        p.clamp(0.0, 100.0)
-    } else {
-        100.0
-    };
-    let rank = ((p / 100.0) * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
+use crate::histogram::estimate;
+use crate::snapshot::{json_f64, json_str, BucketExemplar, MetricsSnapshot};
 
 /// One timestamped snapshot inside a [`WindowedMetrics`] ring.
 #[derive(Debug, Clone)]
@@ -304,31 +141,22 @@ impl WindowedMetrics {
                 let base_count = base.map_or(0, |o| o.count);
                 let base_sum = base.map_or(0.0, |o| o.sum);
                 let count = h.count.saturating_sub(base_count);
-                // Per-bucket deltas over the window; bounds come from the
-                // cumulative snapshot (the window does not retrack min/max,
-                // so percentile clamping is slightly loose, never wrong-
-                // bucket).
-                let buckets: Vec<(f64, u64)> = h
-                    .buckets
-                    .iter()
-                    .map(|&(le, c)| {
-                        let b = base
-                            .and_then(|o| o.buckets.iter().find(|&&(l, _)| l == le))
-                            .map_or(0, |&(_, c0)| c0);
-                        (le, c.saturating_sub(b))
-                    })
-                    .filter(|&(_, c)| c > 0)
-                    .collect();
-                let pct = |p: f64| estimate_percentile(&buckets, count, h.min, h.max, p);
+                // Bounds come from the cumulative snapshot (the window does
+                // not retrack min/max, so percentile clamping is slightly
+                // loose, never wrong-bucket).
+                let buckets = bucket_growth(&h.buckets, base.map_or(&[], |o| &o.buckets));
+                let pct = |p: f64| estimate(buckets.iter().copied(), count, (h.min, h.max), p);
                 // Tail exemplar: the highest bucket that grew inside the
                 // window and remembers a trace — the request to chase when
                 // the windowed p99 looks wrong. Falls back to the highest
                 // cumulative exemplar so an id survives quiet windows.
-                let exemplar = buckets
+                let exemplar = h
+                    .exemplars
                     .iter()
                     .rev()
-                    .find_map(|&(le, _)| h.exemplar_for(le).copied())
-                    .or_else(|| h.exemplars.last().copied());
+                    .find(|e| buckets.binary_search_by(|b| b.0.total_cmp(&e.le)).is_ok())
+                    .or(h.exemplars.last())
+                    .copied();
                 HistogramWindow {
                     name: h.name.clone(),
                     count,
@@ -341,6 +169,7 @@ impl WindowedMetrics {
                     p50: pct(50.0),
                     p90: pct(90.0),
                     p99: pct(99.0),
+                    buckets,
                     exemplar,
                 }
             })
@@ -352,6 +181,19 @@ impl WindowedMetrics {
             histograms,
         })
     }
+}
+
+/// Per-bucket growth from `old` to `new` (sparse `(le, count)` lists
+/// ascending by `le`) in one merge-walk, dropping buckets that did not grow.
+fn bucket_growth(new: &[(f64, u64)], old: &[(f64, u64)]) -> Vec<(f64, u64)> {
+    let mut old = old.iter().peekable();
+    new.iter()
+        .filter_map(|&(le, c)| {
+            while old.next_if(|&&(l, _)| l < le).is_some() {}
+            let base = old.next_if(|&&(l, _)| l == le).map_or(0, |&(_, c0)| c0);
+            (c > base).then_some((le, c - base))
+        })
+        .collect()
 }
 
 /// What changed between the two ends of a [`WindowedMetrics`] ring.
@@ -405,6 +247,9 @@ pub struct HistogramWindow {
     pub p90: f64,
     /// Estimated 99th percentile.
     pub p99: f64,
+    /// The window's non-empty `(le, count)` buckets, ascending: those of
+    /// a histogram that recorded only the window's observations.
+    pub buckets: Vec<(f64, u64)>,
     /// Exemplar from the highest bucket that grew inside the window (the
     /// tail request to chase), falling back to the highest cumulative
     /// exemplar; `None` when no traced observation was ever recorded.
@@ -449,7 +294,7 @@ fn prom_label(value: &str) -> String {
 /// `ceps_span_seconds{path=...}`. All metric names carry the `ceps_`
 /// prefix and are sanitized to the Prometheus charset. Buckets with a
 /// recorded exemplar append it in OpenMetrics syntax:
-/// `..._bucket{le="8"} 3 # {trace_id="00f1e2d3c4b5a697"} 5.2`.
+/// `..._bucket{le="5.25"} 3 # {trace_id="00f1e2d3c4b5a697"} 5.2`.
 pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(2048);
     for (name, value) in &snap.counters {
@@ -465,11 +310,14 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     for h in &snap.histograms {
         let n = prom_name(&h.name);
         let _ = writeln!(out, "# TYPE {n} histogram");
+        // Buckets and exemplars both ascend by `le`: one forward walk.
+        let mut exemplars = h.exemplars.iter().peekable();
         let mut cum = 0u64;
         for &(le, c) in &h.buckets {
             cum += c;
             let _ = write!(out, "{n}_bucket{{le=\"{}\"}} {cum}", json_f64(le));
-            if let Some(e) = h.exemplar_for(le) {
+            while exemplars.next_if(|e| e.le < le).is_some() {}
+            if let Some(e) = exemplars.next_if(|e| e.le == le) {
                 let _ = write!(
                     out,
                     " # {{trace_id=\"{}\"}} {}",
@@ -789,35 +637,8 @@ fn flush_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{HistogramStat, SpanStat};
-
-    #[test]
-    fn nearest_rank_clamps_out_of_range_p() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(nearest_rank(&v, 0.0), 1.0, "p=0 is the minimum");
-        assert_eq!(nearest_rank(&v, -5.0), 1.0);
-        assert_eq!(nearest_rank(&v, 100.0), 4.0);
-        assert_eq!(nearest_rank(&v, 250.0), 4.0, "p>100 clamps");
-        assert_eq!(nearest_rank(&v, f64::NAN), 4.0);
-        assert_eq!(nearest_rank(&v, f64::INFINITY), 4.0);
-        assert_eq!(nearest_rank(&v, f64::NEG_INFINITY), 4.0);
-        assert_eq!(nearest_rank(&v, 50.0), 2.0);
-        assert!(!nearest_rank(&v, 33.3).is_nan());
-        for p in [-1.0, 0.0, 50.0, 100.0, 1e9, f64::NAN] {
-            assert_eq!(nearest_rank(&[], p), 0.0, "empty → 0 at p={p}");
-        }
-    }
-
-    #[test]
-    fn nearest_rank_picks_the_ceiling_rank() {
-        assert_eq!(nearest_rank(&[5.0], 50.0), 5.0);
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(nearest_rank(&v, 50.0), 50.0);
-        assert_eq!(nearest_rank(&v, 99.0), 99.0);
-        assert_eq!(nearest_rank(&v, 99.5), 100.0);
-        assert_eq!(nearest_rank(&v, 100.0), 100.0);
-        assert_eq!(nearest_rank(&v, 0.5), 1.0);
-    }
+    use crate::snapshot::SpanStat;
+    use crate::{splitmix64, Histogram};
 
     fn uniform_hist(values: impl IntoIterator<Item = f64>) -> Histogram {
         let mut h = Histogram::new();
@@ -896,17 +717,7 @@ mod tests {
     }
 
     fn snap(counter: u64, hist_values: &[f64]) -> MetricsSnapshot {
-        let mut h = Histogram::new();
-        for &v in hist_values {
-            h.record(v);
-        }
-        let buckets = h
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-            .collect();
+        let h = uniform_hist(hist_values.iter().copied());
         MetricsSnapshot {
             spans: vec![SpanStat {
                 path: "serve.request".into(),
@@ -918,15 +729,7 @@ mod tests {
             }],
             counters: vec![("serve.requests".into(), counter)],
             gauges: Vec::new(),
-            histograms: vec![HistogramStat {
-                name: "serve.latency_ms".into(),
-                count: h.count,
-                sum: h.sum,
-                min: if h.min.is_finite() { h.min } else { 0.0 },
-                max: if h.max.is_finite() { h.max } else { 0.0 },
-                buckets,
-                exemplars: Vec::new(),
-            }],
+            histograms: vec![h.to_stat("serve.latency_ms")],
         }
     }
 
@@ -951,6 +754,32 @@ mod tests {
             assert!((64.0..=128.0).contains(&p), "windowed percentile {p}");
         }
         assert!((h.mean - (64.0 + 64.0 + 80.0) / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn window_delta_has_exactly_the_buckets_of_the_window_alone() {
+        let mut state = 0xde17a_u64;
+        for case in 0..50 {
+            let draw = |state: &mut u64| {
+                let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+                (8.0 * u - 2.0).exp2()
+            };
+            let before: Vec<f64> = (0..splitmix64(&mut state) % 2_000)
+                .map(|_| draw(&mut state))
+                .collect();
+            let inside: Vec<f64> = (0..splitmix64(&mut state) % 2_000)
+                .map(|_| draw(&mut state))
+                .collect();
+            let all: Vec<f64> = before.iter().chain(&inside).copied().collect();
+            let mut w = WindowedMetrics::new(2);
+            w.push_at(0.0, snap(0, &before));
+            w.push_at(1.0, snap(0, &all));
+            let d = w.delta().unwrap();
+            let h = d.histogram("serve.latency_ms").unwrap();
+            let alone = uniform_hist(inside.iter().copied()).to_stat("serve.latency_ms");
+            assert_eq!(h.count, alone.count, "case {case}");
+            assert_eq!(h.buckets, alone.buckets, "case {case}");
+        }
     }
 
     #[test]
@@ -1010,21 +839,22 @@ mod tests {
 
     #[test]
     fn prometheus_bucket_lines_carry_exemplars() {
+        // 1.0 lands in [1, 1.03125), 70.0 in [70, 72).
         let mut s = snap(3, &[1.0, 1.0, 70.0]);
         s.histograms[0].exemplars = vec![BucketExemplar {
-            le: 128.0,
+            le: 72.0,
             trace_id: 0xabc,
             value: 70.0,
         }];
         let text = to_prometheus(&s);
         assert!(
             text.contains(
-                "ceps_serve_latency_ms_bucket{le=\"128\"} 3 # {trace_id=\"0000000000000abc\"} 70"
+                "ceps_serve_latency_ms_bucket{le=\"72\"} 3 # {trace_id=\"0000000000000abc\"} 70"
             ),
             "exemplar on the tail bucket line:\n{text}"
         );
         // The low bucket has no exemplar — its line ends with the count.
-        assert!(text.contains("ceps_serve_latency_ms_bucket{le=\"2\"} 2\n"));
+        assert!(text.contains("ceps_serve_latency_ms_bucket{le=\"1.03125\"} 2\n"));
         // +Inf never carries one.
         assert!(text.contains("_bucket{le=\"+Inf\"} 3\n"));
     }

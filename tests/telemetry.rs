@@ -17,7 +17,7 @@ use ceps_core::{
 use ceps_datagen::{CoauthorConfig, CoauthorGraph, QueryRepository};
 use ceps_graph::NodeId;
 use ceps_net::{in_proc, CepsClient, CepsServer, ServerConfig};
-use ceps_obs::{HistogramStat, MetricsSnapshot, SpanStat, WindowedMetrics};
+use ceps_obs::{Histogram, HistogramStat, MetricsSnapshot, SpanStat, WindowedMetrics};
 use proptest::prelude::*;
 
 /// Serializes tests touching the process-global recorder.
@@ -267,31 +267,11 @@ const NASTY: [&str; 6] = [
 ];
 
 fn hist_stat(name: &str, values: &[f64]) -> HistogramStat {
-    // Rebuild the snapshot form by hand: (le, count) pairs on the same
-    // log2 grid the registry uses (bucket i covers [2^(i-32), 2^(i-31))).
-    let mut counts = std::collections::BTreeMap::new();
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
+    let mut h = Histogram::new();
     for &v in values {
-        let idx = (v.log2().floor() as i32 + 32).clamp(0, 63);
-        *counts.entry(idx).or_insert(0u64) += 1;
-        min = min.min(v);
-        max = max.max(v);
-        sum += v;
+        h.record(v);
     }
-    HistogramStat {
-        name: name.to_string(),
-        count: values.len() as u64,
-        sum,
-        min: if values.is_empty() { 0.0 } else { min },
-        max: if values.is_empty() { 0.0 } else { max },
-        buckets: counts
-            .into_iter()
-            .map(|(i, c)| (2f64.powi(i - 31), c))
-            .collect(),
-        exemplars: Vec::new(),
-    }
+    h.to_stat(name)
 }
 
 fn snapshot_from(counters: &[(usize, u64)], hist: &[f64], span_idx: usize) -> MetricsSnapshot {
