@@ -1,6 +1,7 @@
 //! Microbenchmark: the EXTRACT algorithm (Tables 3–4) in isolation —
-//! scores precomputed, extraction cost as a function of budget, plus one
-//! medium-preset case shaped like a `wire_hubs` request.
+//! scores precomputed, extraction cost as a function of budget, plus
+//! medium-preset cases shaped like a `wire_hubs` request: AND (k = 3, DP
+//! width 8, one slot block) and 2_softAND (k = 2, width 11, two blocks).
 
 use ceps_bench::{workload::Workload, Scale};
 use ceps_core::extract::{extract, ExtractOutcome, ExtractParams, SharingRule};
@@ -38,10 +39,11 @@ fn bench_extract(c: &mut Criterion) {
     group.finish();
 }
 
-/// One `wire_hubs`-shaped request: perfbench's medium graph (10K nodes),
-/// Q = 3 nodes from its first 16-node hot pool, AND, budget 20. A query
-/// set whose AND scores are zero everywhere stops before the first key
-/// path, so the first set that extracts a path is used.
+/// `wire_hubs`-shaped requests: perfbench's medium graph (10K nodes),
+/// Q = 3 nodes from its first 16-node hot pool, budget 20, under AND and
+/// under 2_softAND. A query set whose AND scores are zero everywhere stops
+/// before the first key path, so the first set that extracts a path under
+/// AND is used for both.
 fn bench_extract_medium_hubs(c: &mut Criterion) {
     let w = Workload::build(Scale::Medium, 0);
     let graph = &w.data.graph;
@@ -56,26 +58,35 @@ fn bench_extract_medium_hubs(c: &mut Criterion) {
             .collect();
         let scores = engine.solve_many(&queries).unwrap();
         let combined = combine::combine_scores(&scores, 3).unwrap();
-        if !hub_request(graph, &scores, &combined).paths.is_empty() {
+        if !hub_request(graph, &scores, &combined, 3).paths.is_empty() {
             break (scores, combined);
         }
     };
+    let soft_and = combine::combine_scores(&scores, 2).unwrap();
 
     c.bench_function("extract/medium_hubs_and_q3_b20", |b| {
-        b.iter(|| black_box(hub_request(graph, &scores, &combined)));
+        b.iter(|| black_box(hub_request(graph, &scores, &combined, 3)));
+    });
+    c.bench_function("extract/medium_hubs_softand2_q3_b20", |b| {
+        b.iter(|| black_box(hub_request(graph, &scores, &soft_and, 2)));
     });
 }
 
-/// EXTRACT as a `wire_hubs` request runs it: k = 3 (AND over Q = 3),
-/// budget 20, `len = ⌈20/3⌉`.
-fn hub_request(graph: &CsrGraph, scores: &ScoreMatrix, combined: &[f64]) -> ExtractOutcome {
+/// EXTRACT as a `wire_hubs` request runs it with `k` active sources:
+/// budget 20, `len = ⌈20/k⌉`.
+fn hub_request(
+    graph: &CsrGraph,
+    scores: &ScoreMatrix,
+    combined: &[f64],
+    k: usize,
+) -> ExtractOutcome {
     extract(ExtractParams {
         graph,
         scores,
         combined,
-        k: 3,
+        k,
         budget: 20,
-        max_path_len: 20usize.div_ceil(3),
+        max_path_len: 20usize.div_ceil(k),
         sharing: SharingRule::FreeSharedNodes,
     })
 }

@@ -111,25 +111,22 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
     // one memo across every round; all are dropped when this call returns.
     let mut memos: Vec<Option<UphillMemo>> = (0..queries.len()).map(|_| None).collect();
 
+    // Eq. 11: pd = argmax_{j ∉ H} r(Q, j); ties by id for determinism.
+    // One pass ranks the `budget` best positive-score nodes outside H. H
+    // only grows, so the first ranked node still outside H is the argmax.
+    // Each ranked node that joins H adds one to `added`, so the list runs
+    // out only once the budget is spent or no positive score is left.
+    let ranked = rank_destinations(combined, &in_h, budget.min(n));
+    let mut next = 0;
     while added < budget {
-        // Eq. 11: pd = argmax_{j ∉ H} r(Q, j); ties by id for determinism.
-        let mut pd: Option<(u32, f64)> = None;
-        for j in 0..n as u32 {
-            if in_h[j as usize] {
-                continue;
-            }
-            let s = combined[j as usize];
-            match pd {
-                Some((_, bs)) if bs >= s => {}
-                _ => pd = Some((j, s)),
-            }
+        while next < ranked.len() && in_h[ranked[next].1 as usize] {
+            next += 1;
         }
-        let Some((pd, pd_score)) = pd else { break };
-        if pd_score <= 0.0 {
-            // Nothing left with any closeness to the query set: adding
-            // zero-score nodes cannot improve g(H).
+        // None left with positive score: zero-score nodes have no closeness
+        // to the query set and cannot improve g(H).
+        let Some(&(_, pd)) = ranked.get(next) else {
             break;
-        }
+        };
         let pd = NodeId(pd);
         destinations.push(pd);
 
@@ -196,6 +193,30 @@ pub fn extract(params: ExtractParams<'_>) -> ExtractOutcome {
         paths,
         orphan_destinations: orphans,
     }
+}
+
+/// The `keep` best positive-score nodes outside `H` as `(score, id)`, in
+/// Eq. 11 order: score descending, then id ascending.
+fn rank_destinations(combined: &[f64], in_h: &[bool], keep: usize) -> Vec<(f64, u32)> {
+    let by_rank = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    let mut ranked = Vec::new();
+    // A node must score above `floor` to make the cut: ids ascend, so a
+    // tie with the worst kept node loses on id.
+    let mut floor = 0.0;
+    for (j, (&s, &taken)) in combined.iter().zip(in_h).enumerate() {
+        if taken || s <= floor {
+            continue;
+        }
+        ranked.push((s, j as u32));
+        if ranked.len() == 2 * keep {
+            ranked.select_nth_unstable_by(keep - 1, by_rank);
+            ranked.truncate(keep);
+            floor = ranked[keep - 1].0;
+        }
+    }
+    ranked.sort_unstable_by(by_rank);
+    ranked.truncate(keep);
+    ranked
 }
 
 #[cfg(test)]

@@ -30,8 +30,23 @@
 //! node on it. Every node that carries mass therefore sees all of its
 //! in-band uphill neighbours, in adjacency order, with the same strict `>`
 //! updates; swept nodes outside that cone carry none and change nothing.
+//!
+//! Kernel: candidate `p`'s DP row is a `−∞` guard slot, then its `width`
+//! slots, padded with `−∞` to whole [`BLOCK`]-slot blocks. Slot `s` of a
+//! new node reads its predecessor's slot `s − 1` and a free node reads
+//! slot `s`, so each block of `v`'s row is fed by one contiguous 8-slot
+//! window of each predecessor's row (the guard stands in for `s − 1 = −1`).
+//! Per block, `v`'s memo list is walked in adjacency order while the best
+//! value and predecessor per slot stay in local arrays, updated with
+//! branch-free strict-`>` selects; the block's in-bound slots are then
+//! written back once. Each slot still sees the same arcs in the same
+//! order under the same `>`, so values, parents and ties are the plain
+//! loop's, for every path length.
 
 use ceps_graph::{CsrGraph, NodeId};
+
+/// DP slots per register block (see the module docs).
+const BLOCK: usize = 8;
 
 /// How the path-length DP counts nodes that are already in the output
 /// subgraph `H` — an ablation switch for the paper's node-sharing design.
@@ -118,11 +133,11 @@ pub struct PathWorkspace {
     /// Candidates as `(downhill_rank, id)`: ids in sweep order, then ranked
     /// and sorted into downhill order.
     order: Vec<(u64, u32)>,
+    /// Blocked DP rows (module docs); `dp[row + 1 + s]` is slot `s`.
     dp: Vec<f64>,
-    parent: Vec<(u32, u32)>,
-    /// Bit `s` set ⇔ `dp[p * width + s]` holds finite mass; lets the DP
-    /// inner loop touch only live `(candidate, s)` slots.
-    occupied: Vec<u64>,
+    /// Predecessor position per DP slot (`u32::MAX` while unset); the
+    /// predecessor's slot is `s` for a free node and `s − 1` otherwise.
+    parent: Vec<u32>,
 }
 
 impl PathWorkspace {
@@ -290,101 +305,66 @@ pub(super) fn discover_key_path_in_memo(
     let len = q.max_new_nodes;
     let width = len + 1;
     const NEG: f64 = f64::NEG_INFINITY;
-    // dp[p * width + s] = best captured goodness of a prefix path ending at
-    // candidate p using exactly s new nodes; parent stores (prev_pos, prev_s).
-    ws.dp.clear();
-    ws.dp.resize(m * width, NEG);
-    ws.parent.clear();
-    ws.parent.resize(m * width, (u32::MAX, u32::MAX));
-    let dp = &mut ws.dp;
-    let parent = &mut ws.parent;
-
     let share_free = q.sharing == SharingRule::FreeSharedNodes;
-    let s0 = usize::from(!(share_free && q.in_subgraph[q.source.index()]));
+    let free = |v: u32| share_free && q.in_subgraph[v as usize];
+    let s0 = usize::from(!free(q.source.0));
     if s0 > len {
         return None;
     }
-    dp[s0] = q.combined[q.source.index()]; // position 0 is the source
+    // dp[p * stride + 1 + s] = best captured goodness of a prefix path
+    // ending at candidate p using exactly s new nodes; dp[p * stride] is
+    // the guard. parent holds the predecessor's position.
+    let blocks = width.div_ceil(BLOCK);
+    let stride = 1 + blocks * BLOCK;
+    ws.dp.clear();
+    ws.dp.resize(m * stride, NEG);
+    ws.parent.clear();
+    ws.parent.resize(m * stride, u32::MAX);
+    let (dp, parent) = (&mut ws.dp, &mut ws.parent);
+    dp[1 + s0] = q.combined[q.source.index()]; // position 0 is the source
 
-    // Occupancy masks make the relaxation sparse: a predecessor with no
-    // finite slot is skipped in one load, and only live source slots are
-    // visited (in the same ascending-`s` order and with the same strict
-    // `>` updates as the dense loop, so the chosen path is unchanged).
-    // Widths beyond 64 (budget > 63·k) fall back to dense relaxation.
-    let occ = &mut ws.occupied;
-    occ.clear();
-    occ.resize(m, 0);
-    let masked = width <= 64;
-    if masked {
-        occ[0] = 1u64 << s0;
-    }
-
-    for p in 1..m {
-        let v = order[p].1;
-        let v_free = share_free && q.in_subgraph[v as usize];
+    for (p, &(_, v)) in order.iter().enumerate().skip(1) {
         let gain = q.combined[v as usize];
-        let s_min = usize::from(!v_free);
-        let pb = p * width;
-        let mut pocc = 0u64;
-        for &u in memo.filled(v) {
-            let up = ws.pos_of[u as usize] as usize;
-            debug_assert!(up < p, "memo arcs must be uphill");
-            let ub = up * width;
-            if masked {
-                // Transfer: slot s_prev feeds s = s_prev (free node) or
-                // s_prev + 1 (new node); drop anything past the bound.
-                let mut bits = if v_free { occ[up] } else { occ[up] << 1 };
-                if width < 64 {
-                    bits &= (1u64 << width) - 1;
-                }
-                while bits != 0 {
-                    let s = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let s_prev = if v_free { s } else { s - 1 };
-                    let val = dp[ub + s_prev] + gain;
-                    if val > dp[pb + s] {
-                        dp[pb + s] = val;
-                        parent[pb + s] = (up as u32, s_prev as u32);
-                        pocc |= 1u64 << s;
-                    }
-                }
-            } else {
-                for s in s_min..width {
-                    let s_prev = if v_free { s } else { s - 1 };
-                    let cand = dp[ub + s_prev];
-                    if cand == NEG {
-                        continue;
-                    }
-                    let val = cand + gain;
-                    if val > dp[pb + s] {
-                        dp[pb + s] = val;
-                        parent[pb + s] = (up as u32, s_prev as u32);
-                    }
+        // Slot s reads the predecessor's slot s (free) or s - 1 (new).
+        let shift = usize::from(free(v));
+        let preds = memo.filled(v);
+        for lo in (0..width).step_by(BLOCK) {
+            let mut best = [NEG; BLOCK];
+            let mut from = [u32::MAX; BLOCK];
+            for &u in preds {
+                let up = ws.pos_of[u as usize];
+                debug_assert!((up as usize) < p, "memo arcs must be uphill");
+                let at = up as usize * stride + lo + shift;
+                let prev: &[f64; BLOCK] = dp[at..at + BLOCK].try_into().expect("BLOCK-slot window");
+                for j in 0..BLOCK {
+                    let val = prev[j] + gain;
+                    let take = val > best[j];
+                    best[j] = if take { val } else { best[j] };
+                    from[j] = if take { up } else { from[j] };
                 }
             }
-        }
-        if masked {
-            occ[p] = pocc;
+            // Pad slots past the bound are dropped; unset slots write back
+            // the −∞ and `u32::MAX` they already hold.
+            let live = BLOCK.min(width - lo);
+            let at = p * stride + 1 + lo;
+            dp[at..at + live].copy_from_slice(&best[..live]);
+            parent[at..at + live].copy_from_slice(&from[..live]);
         }
     }
 
     if ceps_obs::enabled() {
-        // Live DP slots after relaxation — the sparse-relaxation win over
-        // the dense m × width table.
-        let slots: u64 = if masked {
-            occ.iter().map(|&bits| u64::from(bits.count_ones())).sum()
-        } else {
-            dp.iter().filter(|&&v| v != NEG).count() as u64
-        };
-        ceps_obs::counter("extract.dp_slots", slots);
+        // Finite DP slots after relaxation — the live share of the dense
+        // m × width table.
+        let slots = dp.iter().filter(|&&v| v != NEG).count();
+        ceps_obs::counter("extract.dp_slots", slots as u64);
         ceps_obs::counter("extract.dp_calls", 1);
     }
 
     // Best s >= 1 by goodness-per-new-node at the destination.
-    let dest_pos = m - 1;
+    let dest_row = (m - 1) * stride + 1;
     let mut best: Option<(usize, f64)> = None;
     for s in 1..width {
-        let v = dp[dest_pos * width + s];
+        let v = dp[dest_row + s];
         if v == NEG {
             continue;
         }
@@ -398,16 +378,17 @@ pub(super) fn discover_key_path_in_memo(
 
     // Backtrack.
     let mut path = Vec::new();
-    let mut p = dest_pos;
+    let mut p = m - 1;
     loop {
-        path.push(NodeId(order[p].1));
+        let v = order[p].1;
+        path.push(NodeId(v));
         if p == 0 {
             break;
         }
-        let (pp, ps) = parent[p * width + s];
+        let pp = parent[p * stride + 1 + s];
         debug_assert_ne!(pp, u32::MAX, "broken parent chain");
         p = pp as usize;
-        s = ps as usize;
+        s -= usize::from(!free(v));
     }
     path.reverse();
     debug_assert_eq!(path.first(), Some(&q.source));

@@ -7,7 +7,9 @@
 //! nodes an uphill sweep from `pd` reaches, so these properties pin that
 //! pruning to the plain DP, path for path, on random graphs with forced
 //! score ties (`-0.0` against `0.0` included), random `H` masks, both
-//! sharing rules and the dense (`max_new_nodes ≥ 64`) fallback.
+//! sharing rules, and bounds from one 8-slot DP block (`len` 0–6) through
+//! 2–6 blocks (8–40, on graphs with long downhill paths) to 9–10
+//! (`64 + len`).
 
 use std::cmp::Reverse;
 
@@ -65,6 +67,42 @@ fn arb_case() -> impl Strategy<Value = Case> {
                         .map(|r| r.iter().map(|&x| score(x, tie_mod)).collect())
                         .collect(),
                     // Zeros and repeats exercise the Eq. 11 stop and ties.
+                    combined: combined.iter().map(|&x| f64::from(x) * 0.2).collect(),
+                    in_h: in_h.iter().map(|&x| x < h_cut).collect(),
+                    len,
+                }
+            },
+        )
+    })
+}
+
+/// Like [`arb_case`], but 8–40 nodes joined by the chain `0 − 1 − … ` plus
+/// random chords, one score row that falls along the chain with jitter (a
+/// node may tie with or pass a near neighbour), and a bound of 8–40, so
+/// downhill paths run long enough to fill DP slots past the first block.
+fn arb_long_case() -> impl Strategy<Value = Case> {
+    (8usize..=40).prop_flat_map(|n| {
+        let chords = proptest::collection::vec((0..n, 0..n), 0..n);
+        let jitter = proptest::collection::vec(0u32..12, n);
+        let combined = proptest::collection::vec(0u32..6, n);
+        let in_h = proptest::collection::vec(0u32..4, n);
+        let knobs = (8usize..=40, 0u32..4);
+        (Just(n), chords, jitter, combined, in_h, knobs).prop_map(
+            |(n, chords, jitter, combined, in_h, (len, h_cut))| {
+                let mut b = GraphBuilder::with_nodes(n);
+                for (a, c) in (1..n).map(|v| (v - 1, v)).chain(chords) {
+                    if a != c {
+                        b.add_edge(NodeId(a as u32), NodeId(c as u32), 1.0).unwrap();
+                    }
+                }
+                let row = jitter
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &j)| f64::from(4 * (n - v) as u32 + j) * 0.125)
+                    .collect();
+                Case {
+                    graph: b.build().unwrap(),
+                    rows: vec![row],
                     combined: combined.iter().map(|&x| f64::from(x) * 0.2).collect(),
                     in_h: in_h.iter().map(|&x| x < h_cut).collect(),
                     len,
@@ -285,5 +323,39 @@ proptest! {
         let mut got: Vec<NodeId> = out.subgraph.nodes().collect();
         got.sort_unstable();
         prop_assert_eq!(got, expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Bounds of 8–40 put 2–6 slot blocks in every DP row, a range that
+    /// holds a 2_softAND width of 11 (budget 20) and an OR width of 21:
+    /// every (source, destination) pair under both sharing rules, with one
+    /// workspace reused across all calls.
+    #[test]
+    fn multi_block_key_paths_match_the_unpruned_dp(case in arb_long_case()) {
+        let n = case.graph.node_count() as u32;
+        let mut ws = PathWorkspace::new();
+        for (source, dest) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
+            for sharing in SHARING {
+                let q = PathQuery {
+                    graph: &case.graph,
+                    individual: &case.rows[0],
+                    combined: &case.combined,
+                    in_subgraph: &case.in_h,
+                    source: NodeId(source),
+                    dest: NodeId(dest),
+                    max_new_nodes: case.len,
+                    sharing,
+                };
+                prop_assert_eq!(
+                    discover_key_path_with(q, &mut ws),
+                    reference_path(&q),
+                    "{:?} -> {:?}, {:?}, len {}",
+                    source, dest, sharing, case.len
+                );
+            }
+        }
     }
 }

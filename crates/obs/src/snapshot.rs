@@ -209,11 +209,6 @@ impl HistogramStat {
             p,
         )
     }
-
-    /// The exemplar recorded for the bucket with upper bound `le`, if any.
-    pub fn exemplar_for(&self, le: f64) -> Option<&BucketExemplar> {
-        self.exemplars.iter().find(|e| e.le == le)
-    }
 }
 
 /// A consistent copy of everything the registry has aggregated.
@@ -542,8 +537,5 @@ mod tests {
         assert!(snap.span("query/stage.combine").is_some());
         assert!(snap.span("missing").is_none());
         assert_eq!(snap.histograms[0].mean(), 50.0);
-        let ex = snap.histograms[0].exemplar_for(64.0).expect("exemplar");
-        assert_eq!(ex.trace_id, 0xdead_beef);
-        assert!(snap.histograms[0].exemplar_for(128.0).is_none());
     }
 }
