@@ -9,14 +9,18 @@
 //! [`CepsEngine`] plus a shared [`RwrRowCache`], assembles Step 1's score
 //! matrix from cache hits plus **one batched backend solve over only the
 //! missing rows** ([`ceps_rwr::scores_with_cache`]), and hands the matrix
-//! to [`CepsEngine::run_with_scores`] for Steps 2–3.
+//! to [`CepsEngine::run_with_scores`] for Steps 2–3. Single-flight and
+//! the miss-coalescing window live inside the cache: the builder's
+//! [`coalesce_us`](CepsServiceBuilder::coalesce_us) is a setting of the
+//! cache it builds.
 //!
 //! There is one code path per job:
 //!
 //! * [`CepsService::run`] — the whole pipeline for one query set, returning
 //!   the result with this request's [`RequestMetrics`] (stage times and
 //!   cache hits/misses). [`CepsService::individual_scores`] and
-//!   [`CepsService::warm`] share its Step 1.
+//!   [`CepsService::warm`] share its Step 1, and with it the cache's one
+//!   miss path.
 //! * [`CepsService::handle`] — one served request: times `run`, feeds the
 //!   `serve.*` metrics and writes the request's single `ceps-trace/v1`
 //!   line. Stream replay and the `ceps-net` wire server both call it, so
@@ -44,8 +48,8 @@ use std::time::Instant;
 use ceps_graph::{IntoSharedGraph, NodeId};
 use ceps_obs::{Histogram, TraceContext};
 use ceps_rwr::{
-    row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceStats, Coalescer,
-    RwrRowCache, ScoreMatrix,
+    row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, CoalesceStats, RwrRowCache,
+    ScoreMatrix,
 };
 
 use crate::pipeline::{CepsEngine, CepsResult, StageTimes};
@@ -57,8 +61,10 @@ pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
 /// Rows per batched solve when [`CepsService::warm`] fills the cache —
 /// wide enough to feed the batched SpMM kernel, small enough to bound the
-/// memory held by one in-flight warm chunk.
-const WARM_CHUNK: usize = 32;
+/// memory held by one in-flight warm chunk. Equal to the coalescing
+/// window's early-drain threshold, so a full chunk drains at once even
+/// with the window open.
+const WARM_CHUNK: usize = ceps_rwr::coalesce::MAX_BATCH;
 
 /// One CePS query as every serving surface sees it — the in-process
 /// [`CepsService::serve`] call, the `ceps-wire/v1` `Query` frame in
@@ -203,11 +209,12 @@ impl CepsServiceBuilder {
         self
     }
 
-    /// Sets the miss-coalescing window (see [`Coalescer`]): concurrent
-    /// requests pool their cache misses for up to `window_us`
-    /// microseconds and solve them through one wide batched backend call.
-    /// The default is **off** (`0`); coalescing also requires a cache
-    /// (ignored under [`uncached`](CepsServiceBuilder::uncached)).
+    /// Sets the row cache's miss-coalescing window (see
+    /// [`RwrRowCache::with_coalesce_us`]): concurrent requests pool their
+    /// cache misses for up to `window_us` microseconds and solve them
+    /// through one wide batched backend call. The default is **off**
+    /// (`0`); coalescing also requires a cache (ignored under
+    /// [`uncached`](CepsServiceBuilder::uncached)).
     pub fn coalesce_us(mut self, window_us: u64) -> Self {
         self.coalesce_us = window_us;
         self
@@ -218,17 +225,15 @@ impl CepsServiceBuilder {
         let cache = if self.cache_bytes == 0 {
             None
         } else {
-            Some(Arc::new(match self.shards {
+            let cache = match self.shards {
                 Some(s) => RwrRowCache::with_shards(self.cache_bytes, s),
                 None => RwrRowCache::new(self.cache_bytes),
-            }))
+            };
+            Some(Arc::new(cache.with_coalesce_us(self.coalesce_us)))
         };
-        let coalesce = (cache.is_some() && self.coalesce_us > 0)
-            .then(|| Arc::new(Coalescer::new(self.coalesce_us)));
         CepsService {
             engine,
             cache,
-            coalesce,
             warm_rows: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -252,11 +257,9 @@ impl CepsServiceBuilder {
 #[derive(Debug, Clone)]
 pub struct CepsService {
     engine: CepsEngine,
+    /// Shared by clones, and with it the cache's coalescing window, so
+    /// every worker of a fanned-out service pools misses into one window.
     cache: Option<Arc<RwrRowCache>>,
-    /// Shared miss-coalescing window; `Some` only when a cache exists and
-    /// the builder enabled a window. Clones share it, so every worker of a
-    /// fanned-out service pools misses into the same window.
-    coalesce: Option<Arc<Coalescer>>,
     /// Rows pre-solved by [`CepsService::warm`], shared across clones.
     warm_rows: Arc<AtomicU64>,
 }
@@ -287,9 +290,9 @@ impl CepsService {
     /// Snapshot of the coalescing-window counters (zeros when the window
     /// is off — coalescing disabled, or the service runs uncached).
     pub fn coalesce_stats(&self) -> CoalesceStats {
-        self.coalesce
+        self.cache
             .as_ref()
-            .map(|c| c.stats())
+            .map(|c| c.coalesce_stats())
             .unwrap_or_default()
     }
 
@@ -359,7 +362,7 @@ impl CepsService {
         nodes.truncate(max_rows);
         let mut warmed = 0usize;
         for chunk in nodes.chunks(WARM_CHUNK) {
-            scores_with_cache(self.engine.backend().as_ref(), cache, chunk, None)?;
+            scores_with_cache(self.engine.backend().as_ref(), cache, chunk)?;
             warmed += chunk.len();
         }
         self.warm_rows.fetch_add(warmed as u64, Ordering::Relaxed);
@@ -379,16 +382,15 @@ impl CepsService {
         Ok(self.step1(queries)?.0)
     }
 
-    /// Step 1 for already-validated queries: through the row cache (and the
-    /// coalescing window, when one is configured) or, uncached, straight to
-    /// the engine with 0/0 lookups.
+    /// Step 1 for already-validated queries: through the row cache (and its
+    /// coalescing window) or, uncached, straight to the engine with 0/0
+    /// lookups.
     fn step1(&self, queries: &[NodeId]) -> Result<(ScoreMatrix, CacheLookups)> {
         match &self.cache {
             Some(cache) => Ok(scores_with_cache(
                 self.engine.backend().as_ref(),
                 cache,
                 queries,
-                self.coalesce.as_deref(),
             )?),
             None => Ok((
                 self.engine.individual_scores(queries)?,

@@ -11,8 +11,10 @@
 //! * a **max-frame guard** — oversized frames are rejected from the
 //!   header alone, before any payload is buffered;
 //! * **admission control** — at most `max_in_flight` queries execute at
-//!   once; excess queries get a structured `Overloaded` reply instead of
-//!   queueing unboundedly;
+//!   once; excess queries get a structured `Overloaded` reply. Each worker
+//!   runs one query at a time, so at the default cap (the worker count)
+//!   nothing is ever refused: excess connections wait in the connection
+//!   queue instead, and only a cap below the worker count sheds;
 //! * **timeouts** — reads poll in short slices (so shutdown is observed
 //!   between frames), idle connections are reaped, and writes carry a
 //!   deadline.
@@ -500,7 +502,6 @@ impl CepsServer {
             if self.stop.load(Ordering::Acquire) {
                 return; // drain: between frames, nothing in flight here
             }
-            let frame_start = Instant::now();
             let request = match framed.recv::<Request>() {
                 Ok(Some(req)) => req,
                 Ok(None) => return, // clean EOF
@@ -530,7 +531,9 @@ impl CepsServer {
             };
             // Decode completion stamp: everything between here and the
             // moment the query actually starts executing is queue delay,
-            // attributed separately from service time.
+            // attributed separately from service time. `net.frame_ms`
+            // runs from here until the reply is written, so the client's
+            // idle gap before the frame never counts.
             let decoded = Instant::now();
             last_activity = decoded;
             self.counters.frames.fetch_add(1, Ordering::Relaxed);
@@ -542,8 +545,9 @@ impl CepsServer {
                 counter("net.errors_total", 1);
                 flight_note(FlightKind::Error, "net.error_reply", 1);
             }
-            record("net.frame_ms", frame_start.elapsed().as_secs_f64() * 1e3);
-            if framed.send(&reply).is_err() || done {
+            let sent = framed.send(&reply);
+            record("net.frame_ms", decoded.elapsed().as_secs_f64() * 1e3);
+            if sent.is_err() || done {
                 return;
             }
         }
@@ -1054,6 +1058,40 @@ mod tests {
         let cache = drained.cache.expect("cached service");
         assert_eq!(cache.misses, 6, "only the warm pre-solves missed");
         assert!(drained.coalesce_batches <= drained.queries);
+    }
+
+    #[test]
+    fn frame_time_excludes_the_clients_idle_gap() {
+        // A connection idles longer than one 250 ms read slice between two
+        // pings; `net.frame_ms` must cover dispatch and write only, not the
+        // wait for the frame to arrive.
+        let gap = Duration::from_millis(450);
+        ceps_obs::install_recorder();
+        ceps_obs::reset();
+        let server = CepsServer::new(test_service(), config(0));
+        let (mut transport, connector) = in_proc();
+        std::thread::scope(|s| {
+            let server = &server;
+            s.spawn(move || server.serve(&mut transport).unwrap());
+            let mut client = CepsClient::from_conn(Box::new(connector.connect().unwrap()));
+            client.ping().unwrap();
+            std::thread::sleep(gap);
+            client.ping().unwrap();
+            client.shutdown().unwrap();
+        });
+        let snap = ceps_obs::snapshot();
+        ceps_obs::uninstall_recorder();
+        let frames = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "net.frame_ms")
+            .expect("net.frame_ms recorded");
+        assert!(frames.count >= 3, "two pings and a shutdown");
+        assert!(
+            frames.max < gap.as_secs_f64() * 1e3 / 4.0,
+            "net.frame_ms max {:.1} ms includes the {gap:?} idle gap",
+            frames.max
+        );
     }
 
     #[test]

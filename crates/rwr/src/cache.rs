@@ -18,14 +18,20 @@
 //! length disagrees with the caller's expected node count miss instead of
 //! returning a stale-shaped row.
 //!
+//! Each shard holds **one table** whose entries are either a resident row
+//! or an in-flight solve (single-flight): probing a node and, on a miss,
+//! claiming or joining its solve is one lock acquisition, and publishing
+//! the solved row is one more. Eviction, [`RwrRowCache::len`] and
+//! [`RwrRowCache::bytes`] see resident rows only.
+//!
 //! [`scores_with_cache`] is the one assembly loop every cached caller uses
-//! (serving Step 1 and cache warming alike): probe the cache for every
-//! query, claim a single-flight slot per distinct miss, batch **only the
-//! missing nodes** through one backend solve (optionally widened by a
-//! [`Coalescer`] window), insert the fresh rows, and stitch the
-//! [`ScoreMatrix`] together in the caller's query order. Rows are `Arc`-shared between the
-//! cache and in-flight results, so eviction never copies or invalidates a
-//! row a reader still holds.
+//! (serving Step 1 and cache warming alike): claim every query, hand this
+//! request's led misses to the cache's one drain routine (through the
+//! [coalescing window](crate::coalesce) the cache was built with), collect
+//! every miss through its in-flight slot, and stitch the
+//! [`ScoreMatrix`] together in the caller's query order. Rows are
+//! `Arc`-shared between the cache and in-flight results, so eviction never
+//! copies or invalidates a row a reader still holds.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +41,7 @@ use std::time::Instant;
 use ceps_graph::NodeId;
 
 use crate::backend::ScoreBackend;
-use crate::coalesce::Coalescer;
+use crate::coalesce::{CoalesceStats, Window, MAX_BATCH};
 use crate::{Result, RwrError, ScoreMatrix};
 
 /// Fixed per-row bookkeeping charge (map entry, `Arc` header, tick) added to
@@ -53,40 +59,64 @@ struct CachedRow {
     tick: u64,
 }
 
+/// One shard-table entry.
+#[derive(Debug)]
+enum Entry {
+    /// A row charged against the shard's budget.
+    Resident(CachedRow),
+    /// A solve in flight (or left behind by a failed lead, which the next
+    /// claim replaces). Never evicted, never charged.
+    Pending(Arc<FlightSlot>),
+}
+
 #[derive(Debug, Default)]
 struct Shard {
-    rows: HashMap<u32, CachedRow>,
+    entries: HashMap<u32, Entry>,
+    /// Bytes charged by the resident rows.
     bytes: usize,
 }
 
 impl Shard {
-    fn evict_lru(&mut self) -> bool {
-        let victim = self
-            .rows
-            .iter()
-            .min_by_key(|(_, r)| r.tick)
-            .map(|(&k, _)| k);
-        match victim {
-            Some(k) => {
-                if let Some(dead) = self.rows.remove(&k) {
-                    self.bytes -= row_bytes(dead.row.len());
-                }
-                true
+    /// The resident row for `key`, with its LRU tick refreshed, when its
+    /// length is `expected_len`.
+    fn hit(&mut self, key: u32, expected_len: usize, tick: u64) -> Option<Arc<Vec<f64>>> {
+        match self.entries.get_mut(&key) {
+            Some(Entry::Resident(entry)) if entry.row.len() == expected_len => {
+                entry.tick = tick;
+                Some(Arc::clone(&entry.row))
             }
-            None => false,
+            _ => None,
         }
     }
-}
 
-fn row_bytes(len: usize) -> usize {
-    len * std::mem::size_of::<f64>() + ROW_OVERHEAD_BYTES
+    /// Removes `key`'s entry, uncharging it when it was a resident row.
+    fn take(&mut self, key: u32) -> Option<Entry> {
+        let old = self.entries.remove(&key);
+        if let Some(Entry::Resident(dead)) = &old {
+            self.bytes -= row_cost_bytes(dead.row.len());
+        }
+        old
+    }
+
+    fn evict_lru(&mut self) -> bool {
+        let victim = self
+            .entries
+            .iter()
+            .filter_map(|(&k, e)| match e {
+                Entry::Resident(r) => Some((k, r.tick)),
+                Entry::Pending(_) => None,
+            })
+            .min_by_key(|&(_, tick)| tick)
+            .map(|(k, _)| k);
+        victim.map(|k| self.take(k)).is_some()
+    }
 }
 
 /// Bytes one cached row of `len` scores is charged against the budget —
 /// payload plus fixed bookkeeping overhead. Public so warming policies can
 /// convert a byte budget into a row count without guessing.
 pub fn row_cost_bytes(len: usize) -> usize {
-    row_bytes(len)
+    len * std::mem::size_of::<f64>() + ROW_OVERHEAD_BYTES
 }
 
 /// One in-flight solve: the slot concurrent requests rendezvous on when
@@ -118,18 +148,14 @@ impl FlightSlot {
         }
     }
 
-    fn publish(&self, row: Arc<Vec<f64>>) {
-        *self.state.lock().unwrap() = FlightState::Done(row);
-        self.cv.notify_all();
-    }
-
-    fn fail(&self) {
+    /// Moves a pending slot to `to` (`Done` or `Failed`) and wakes its
+    /// waiters; a no-op once the slot is resolved.
+    fn resolve(&self, to: FlightState) {
         let mut state = self.state.lock().unwrap();
         if matches!(*state, FlightState::Pending) {
-            *state = FlightState::Failed;
+            *state = to;
+            self.cv.notify_all();
         }
-        drop(state);
-        self.cv.notify_all();
     }
 
     fn is_failed(&self) -> bool {
@@ -160,7 +186,7 @@ impl FlightSlot {
 }
 
 /// Leadership of one in-flight solve, handed out by
-/// [`RwrRowCache::join_or_lead`]. The holder **must** eventually call
+/// [`RwrRowCache::claim`]. The holder **must** eventually call
 /// [`FlightLead::publish`]; dropping it unpublished marks the flight failed
 /// so waiters fall back to their own solve instead of hanging (the
 /// panic-safety path).
@@ -168,50 +194,38 @@ impl FlightSlot {
 pub(crate) struct FlightLead {
     node: NodeId,
     slot: Arc<FlightSlot>,
-    published: bool,
 }
 
 impl FlightLead {
-    pub(crate) fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// A waitable handle on this flight (what the lead's own request blocks
-    /// on when the solve is delegated to a coalescing window leader).
-    pub(crate) fn slot(&self) -> Arc<FlightSlot> {
-        Arc::clone(&self.slot)
-    }
-
-    /// Inserts the row into `cache`, wakes every waiter with the shared
-    /// `Arc`, and retires the in-flight entry.
-    pub(crate) fn publish(mut self, cache: &RwrRowCache, row: Arc<Vec<f64>>) {
-        cache.insert(self.node, Arc::clone(&row));
-        self.slot.publish(row);
-        cache.remove_flight(self.node, &self.slot);
-        self.published = true;
+    /// Wakes every waiter with the shared `Arc` and stores the row in
+    /// `cache`, which retires the in-flight entry.
+    pub(crate) fn publish(self, cache: &RwrRowCache, row: Arc<Vec<f64>>) {
+        self.slot.resolve(FlightState::Done(Arc::clone(&row)));
+        cache.insert(self.node, row);
     }
 }
 
 impl Drop for FlightLead {
     fn drop(&mut self) {
-        if !self.published {
-            // No cache handle here, so the dead map entry stays behind;
-            // `join_or_lead` replaces failed entries lazily on next touch.
-            self.slot.fail();
-        }
+        // A no-op after `publish`. Unpublished, the flight fails; with no
+        // cache handle here the dead entry stays behind until the next
+        // claim or insert for the node replaces it.
+        self.slot.resolve(FlightState::Failed);
     }
 }
 
-/// Outcome of [`RwrRowCache::join_or_lead`].
+/// Outcome of [`RwrRowCache::claim`].
 #[derive(Debug)]
-pub(crate) enum Flight {
+pub(crate) enum Claim {
+    /// The row was resident.
+    Hit(Arc<Vec<f64>>),
     /// This request owns the solve for the node.
     Lead(FlightLead),
     /// Another request is already solving it; block on the slot.
     Wait(Arc<FlightSlot>),
 }
 
-/// Counters describing cache behaviour since construction (or [`RwrRowCache::clear`]).
+/// Counters describing cache behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the store.
@@ -243,18 +257,17 @@ impl CacheStats {
 }
 
 /// Sharded, bytes-budgeted, LRU-evicting store of RWR rows keyed by query
-/// [`NodeId`].
+/// [`NodeId`], with single-flight and a miss-coalescing window.
 ///
 /// Cheap to share: wrap in `Arc` and clone the handle across workers. All
 /// methods take `&self`; internal mutation is per-shard `Mutex` plus atomics.
 #[derive(Debug)]
 pub struct RwrRowCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard in-flight maps (same index as `shards`): the single-flight
-    /// rendezvous for misses that are currently being solved.
-    flights: Vec<Mutex<HashMap<u32, Arc<FlightSlot>>>>,
     /// Per-shard byte ceiling (total budget / shard count).
     shard_budget: usize,
+    /// The coalescing window every led miss drains through.
+    pub(crate) window: Window,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -266,19 +279,21 @@ pub struct RwrRowCache {
 
 impl RwrRowCache {
     /// Creates a cache with `byte_budget` total capacity across
-    /// [`DEFAULT_SHARDS`] shards. A zero budget is legal and caches nothing.
+    /// [`DEFAULT_SHARDS`] shards and the coalescing window off. A zero
+    /// budget is legal and caches nothing.
     pub fn new(byte_budget: usize) -> Self {
         Self::with_shards(byte_budget, DEFAULT_SHARDS)
     }
 
-    /// Creates a cache with an explicit shard count (clamped to ≥ 1). The
-    /// budget splits evenly: each shard may hold `byte_budget / shards` bytes.
+    /// Creates a cache with an explicit shard count (clamped to ≥ 1) and the
+    /// coalescing window off. The budget splits evenly: each shard may hold
+    /// `byte_budget / shards` bytes.
     pub fn with_shards(byte_budget: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         RwrRowCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            flights: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             shard_budget: byte_budget / shards,
+            window: Window::new(0, MAX_BATCH),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -289,42 +304,57 @@ impl RwrRowCache {
         }
     }
 
+    /// Sets the miss-coalescing window (see [`crate::coalesce`]): the
+    /// first request with misses holds the window open for up to
+    /// `window_us` microseconds so concurrent requests' misses join one
+    /// batched solve. `0` turns the window off: every request solves its
+    /// own misses at once (single-flight still applies).
+    pub fn with_coalesce_us(mut self, window_us: u64) -> Self {
+        self.window = Window::new(window_us, MAX_BATCH);
+        self
+    }
+
     fn shard(&self, node: NodeId) -> &Mutex<Shard> {
         &self.shards[node.index() % self.shards.len()]
     }
 
-    fn flight_shard(&self, node: NodeId) -> &Mutex<HashMap<u32, Arc<FlightSlot>>> {
-        &self.flights[node.index() % self.flights.len()]
+    fn count_probe(&self, hit: bool) {
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            ceps_obs::counter("rwr.cache.hits", 1);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            ceps_obs::counter("rwr.cache.misses", 1);
+        }
     }
 
-    /// Claims or joins the in-flight solve for `node`: the first request to
-    /// miss becomes the [`Flight::Lead`] and must publish (or drop, =fail)
-    /// the slot; later requests get [`Flight::Wait`]. Entries left behind by
-    /// failed leads are replaced here rather than waited on.
-    pub(crate) fn join_or_lead(&self, node: NodeId) -> Flight {
-        let mut flights = self.flight_shard(node).lock().unwrap();
-        if let Some(slot) = flights.get(&node.0) {
-            if !slot.is_failed() {
-                return Flight::Wait(Arc::clone(slot));
+    /// Probes `node` and, on a miss, claims or joins its solve under one
+    /// shard lock: a resident row of length `expected_len` is a
+    /// [`Claim::Hit`]; a live in-flight entry is a [`Claim::Wait`];
+    /// anything else (absent, stale-shaped, or left by a failed lead) is
+    /// replaced by a fresh in-flight entry this request leads.
+    pub(crate) fn claim(&self, node: NodeId, expected_len: usize) -> Claim {
+        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.shard(node).lock().unwrap();
+        let shard = &mut *guard;
+        let claim = if let Some(row) = shard.hit(node.0, expected_len, tick) {
+            Claim::Hit(row)
+        } else {
+            match shard.entries.get(&node.0) {
+                Some(Entry::Pending(slot)) if !slot.is_failed() => Claim::Wait(Arc::clone(slot)),
+                _ => {
+                    shard.take(node.0);
+                    let slot = Arc::new(FlightSlot::new());
+                    shard
+                        .entries
+                        .insert(node.0, Entry::Pending(Arc::clone(&slot)));
+                    Claim::Lead(FlightLead { node, slot })
+                }
             }
-        }
-        let slot = Arc::new(FlightSlot::new());
-        flights.insert(node.0, Arc::clone(&slot));
-        Flight::Lead(FlightLead {
-            node,
-            slot,
-            published: false,
-        })
-    }
-
-    /// Retires the in-flight entry for `node`, but only if it is still the
-    /// same slot — a failed lead's entry may already have been replaced by
-    /// a successor.
-    fn remove_flight(&self, node: NodeId, slot: &Arc<FlightSlot>) {
-        let mut flights = self.flight_shard(node).lock().unwrap();
-        if flights.get(&node.0).is_some_and(|s| Arc::ptr_eq(s, slot)) {
-            flights.remove(&node.0);
-        }
+        };
+        drop(guard);
+        self.count_probe(matches!(claim, Claim::Hit(_)));
+        claim
     }
 
     /// Blocks on another request's in-flight solve and returns its row
@@ -347,76 +377,76 @@ impl RwrRowCache {
         out
     }
 
-    /// Looks up the row for `node` without touching the hit/miss counters
-    /// or the LRU clock — bookkeeping-free re-checks on the single-flight
-    /// path, where the probe already counted.
-    pub(crate) fn peek(&self, node: NodeId, expected_len: usize) -> Option<Arc<Vec<f64>>> {
-        let shard = self.shard(node).lock().unwrap();
-        shard
-            .rows
-            .get(&node.0)
-            .filter(|entry| entry.row.len() == expected_len)
-            .map(|entry| Arc::clone(&entry.row))
+    /// The one drain routine behind every led miss: hands `leads` to the
+    /// coalescing window and, when that leaves this thread holding a batch,
+    /// solves it once and publishes every row. A failed solve drops the
+    /// batch, which fails each flight in it; every request waiting on one
+    /// then solves its own nodes and reports the error itself.
+    fn drain(&self, backend: &dyn ScoreBackend, leads: Vec<FlightLead>) {
+        let Some(batch) = self.window.gather(leads) else {
+            return;
+        };
+        let nodes: Vec<NodeId> = batch.iter().map(|lead| lead.node).collect();
+        if let Ok(solved) = backend.scores(&nodes) {
+            for (i, lead) in batch.into_iter().enumerate() {
+                lead.publish(self, Arc::new(solved.row(i).to_vec()));
+            }
+        }
     }
 
     /// Looks up the row for `node`, refreshing its LRU tick on hit.
     ///
     /// A stored row whose length differs from `expected_len` (a cache handle
-    /// that outlived its graph) is treated as a miss, not returned.
+    /// that outlived its graph) is treated as a miss, not returned; so is a
+    /// solve still in flight.
     pub fn get(&self, node: NodeId, expected_len: usize) -> Option<Arc<Vec<f64>>> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(node).lock().unwrap();
-        let hit = shard.rows.get_mut(&node.0).and_then(|entry| {
-            if entry.row.len() == expected_len {
-                entry.tick = tick;
-                Some(Arc::clone(&entry.row))
-            } else {
-                None
-            }
-        });
-        drop(shard);
-        match hit {
-            Some(row) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                ceps_obs::counter("rwr.cache.hits", 1);
-                Some(row)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                ceps_obs::counter("rwr.cache.misses", 1);
-                None
-            }
-        }
+        let hit = self
+            .shard(node)
+            .lock()
+            .unwrap()
+            .hit(node.0, expected_len, tick);
+        self.count_probe(hit.is_some());
+        hit
     }
 
     /// Inserts (or refreshes) the row for `node`, evicting least-recently
-    /// used rows in its shard until the shard fits its budget.
+    /// used rows in its shard until the shard fits its budget. A solve in
+    /// flight for `node` is resolved with this row, so its waiters receive
+    /// it whatever the store does with it.
     ///
     /// Rows that alone exceed the per-shard budget are rejected outright —
-    /// admitting one would evict the whole shard and still not fit.
+    /// admitting one would evict the whole shard and still not fit — and
+    /// leave no entry for `node` behind.
     pub fn insert(&self, node: NodeId, row: Arc<Vec<f64>>) {
-        let incoming = row_bytes(row.len());
-        if incoming > self.shard_budget {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            ceps_obs::counter("rwr.cache.rejected", 1);
-            return;
-        }
+        let incoming = row_cost_bytes(row.len());
+        let fits = incoming <= self.shard_budget;
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut evicted = 0u64;
         {
-            let mut shard = self.shard(node).lock().unwrap();
-            if let Some(old) = shard.rows.remove(&node.0) {
-                shard.bytes -= row_bytes(old.row.len());
+            let mut guard = self.shard(node).lock().unwrap();
+            let shard = &mut *guard;
+            if let Some(Entry::Pending(slot)) = shard.take(node.0) {
+                slot.resolve(FlightState::Done(Arc::clone(&row)));
             }
-            while shard.bytes + incoming > self.shard_budget {
-                if shard.evict_lru() {
-                    evicted += 1;
-                } else {
-                    break;
+            if fits {
+                while shard.bytes + incoming > self.shard_budget {
+                    if shard.evict_lru() {
+                        evicted += 1;
+                    } else {
+                        break;
+                    }
                 }
+                shard.bytes += incoming;
+                shard
+                    .entries
+                    .insert(node.0, Entry::Resident(CachedRow { row, tick }));
             }
-            shard.bytes += incoming;
-            shard.rows.insert(node.0, CachedRow { row, tick });
+        }
+        if !fits {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            ceps_obs::counter("rwr.cache.rejected", 1);
+            return;
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
         ceps_obs::counter("rwr.cache.insertions", 1);
@@ -430,7 +460,14 @@ impl RwrRowCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().rows.len())
+            .map(|s| {
+                let shard = s.lock().unwrap();
+                shard
+                    .entries
+                    .values()
+                    .filter(|e| matches!(e, Entry::Resident(_)))
+                    .count()
+            })
             .sum()
     }
 
@@ -449,25 +486,6 @@ impl RwrRowCache {
         self.shard_budget * self.shards.len()
     }
 
-    /// Drops every resident row and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            shard.rows.clear();
-            shard.bytes = 0;
-        }
-        for counter in [
-            &self.hits,
-            &self.misses,
-            &self.evictions,
-            &self.insertions,
-            &self.rejected,
-            &self.singleflight_waits,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot of the behaviour counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -478,6 +496,12 @@ impl RwrRowCache {
             rejected: self.rejected.load(Ordering::Relaxed),
             singleflight_waits: self.singleflight_waits.load(Ordering::Relaxed),
         }
+    }
+
+    /// Snapshot of the coalescing-window counters (zeros while the window
+    /// is off).
+    pub fn coalesce_stats(&self) -> CoalesceStats {
+        self.window.stats()
     }
 }
 
@@ -499,17 +523,18 @@ pub struct CacheLookups {
 /// Solves `queries` against `backend`, serving rows from `cache` where
 /// possible, and reports this call's own [`CacheLookups`].
 ///
-/// The one miss-resolution path behind every cached caller: cache probe →
-/// single-flight claim per distinct miss → one batched backend solve over
-/// this request's led misses (widened, when a [`Coalescer`] is passed, by a
-/// window gathering leads from concurrent requests) → block on foreign
-/// flights → direct-solve fallback for failed flights.
+/// The one miss-resolution path behind every cached caller: one claim per
+/// distinct query (hit, lead or join) → the cache's drain routine solves
+/// this request's led misses in one batched backend call (widened, when the
+/// cache's coalescing window is open, by leads from concurrent requests) →
+/// collect every miss through its in-flight slot → direct-solve fallback
+/// for failed flights.
 ///
 /// The returned matrix is row-for-row bitwise identical to
 /// `backend.scores(queries)` run cold: hits, single-flight handoffs and
 /// coalesced rows are all produced by the same batch-independent backend,
 /// and the fallback path is the plain solve. Duplicate query nodes are
-/// solved once and the row is reused. Hit/miss accounting is probe-based
+/// solved once and the row is reused. Hit/miss accounting is claim-based
 /// and therefore unchanged by single-flight and coalescing — a miss that
 /// ends up waiting on another request's solve still counts as this
 /// request's miss.
@@ -522,7 +547,6 @@ pub fn scores_with_cache(
     backend: &dyn ScoreBackend,
     cache: &RwrRowCache,
     queries: &[NodeId],
-    coalescer: Option<&Coalescer>,
 ) -> Result<(ScoreMatrix, CacheLookups)> {
     if queries.is_empty() {
         return Err(RwrError::NoQueries);
@@ -530,91 +554,56 @@ pub fn scores_with_cache(
     let _span = ceps_obs::span("rwr.scores_with_cache");
     let n = backend.node_count();
 
-    // Probe every query once; collect the distinct misses in first-seen order.
+    // Claim every distinct query once, in first-seen order. Leads are ours
+    // to solve; every miss, led or joined, is collected through its slot.
     let mut resolved: HashMap<u32, Arc<Vec<f64>>> = HashMap::with_capacity(queries.len());
-    let mut missing: Vec<NodeId> = Vec::new();
+    let mut leads: Vec<FlightLead> = Vec::new();
+    let mut waits: Vec<(NodeId, Arc<FlightSlot>)> = Vec::new();
     for &q in queries {
-        if resolved.contains_key(&q.0) || missing.contains(&q) {
+        if resolved.contains_key(&q.0) || waits.iter().any(|(w, _)| *w == q) {
             continue;
         }
-        match cache.get(q, n) {
-            Some(row) => {
+        match cache.claim(q, n) {
+            Claim::Hit(row) => {
                 resolved.insert(q.0, row);
             }
-            None => missing.push(q),
+            Claim::Lead(lead) => {
+                waits.push((q, Arc::clone(&lead.slot)));
+                leads.push(lead);
+            }
+            Claim::Wait(slot) => waits.push((q, slot)),
         }
     }
 
     let lookups = CacheLookups {
         hits: resolved.len() as u64,
-        misses: missing.len() as u64,
+        misses: waits.len() as u64,
     };
 
-    if !missing.is_empty() {
-        // Claim a flight per miss: leads are ours to solve, waits belong to
-        // concurrent requests already solving the same node.
-        let mut leads: Vec<FlightLead> = Vec::new();
-        let mut waits: Vec<(NodeId, Arc<FlightSlot>)> = Vec::new();
-        for &q in &missing {
-            match cache.join_or_lead(q) {
-                Flight::Lead(lead) => {
-                    // The row may have landed between the probe and the
-                    // claim (a leader published just now); don't re-solve.
-                    if let Some(row) = cache.peek(q, n) {
-                        lead.publish(cache, Arc::clone(&row));
-                        resolved.insert(q.0, row);
-                    } else {
-                        leads.push(lead);
-                    }
-                }
-                Flight::Wait(slot) => waits.push((q, slot)),
-            }
-        }
+    // Publish before blocking: every lead of this request goes to the drain
+    // routine (solved here, or pooled for a window leader that solves it)
+    // before the request waits on any flight — waiting first could
+    // deadlock two requests leading each other's nodes.
+    if !leads.is_empty() {
+        cache.drain(backend, leads);
+    }
 
-        if !leads.is_empty() {
-            match coalescer.filter(|c| c.enabled()) {
-                Some(co) => {
-                    // The window leader (this thread or a concurrent one)
-                    // publishes every pooled lead; collect ours via the
-                    // slots like any other wait.
-                    for lead in &leads {
-                        waits.push((lead.node(), lead.slot()));
-                    }
-                    co.resolve(backend, cache, leads);
-                }
-                None => {
-                    // Publish before blocking on foreign flights — waiting
-                    // first could deadlock two requests leading each
-                    // other's nodes.
-                    let nodes: Vec<NodeId> = leads.iter().map(FlightLead::node).collect();
-                    let solved = backend.scores(&nodes)?;
-                    for (i, lead) in leads.into_iter().enumerate() {
-                        let row = Arc::new(solved.row(i).to_vec());
-                        resolved.insert(nodes[i].0, Arc::clone(&row));
-                        lead.publish(cache, row);
-                    }
-                }
-            }
-        }
-
-        // Collect foreign (and coalesced) flights; failed ones fall back to
-        // one direct solve below.
-        let mut failed: Vec<NodeId> = Vec::new();
-        for (q, slot) in waits {
-            match cache.wait_flight(&slot) {
-                Some(row) => {
-                    resolved.insert(q.0, row);
-                }
-                None => failed.push(q),
-            }
-        }
-        if !failed.is_empty() {
-            let solved = backend.scores(&failed)?;
-            for (i, &q) in failed.iter().enumerate() {
-                let row = Arc::new(solved.row(i).to_vec());
-                cache.insert(q, Arc::clone(&row));
+    // Failed flights fall back to one direct solve.
+    let mut failed: Vec<NodeId> = Vec::new();
+    for (q, slot) in waits {
+        match cache.wait_flight(&slot) {
+            Some(row) => {
                 resolved.insert(q.0, row);
             }
+            None => failed.push(q),
+        }
+    }
+    if !failed.is_empty() {
+        let solved = backend.scores(&failed)?;
+        for (i, &q) in failed.iter().enumerate() {
+            let row = Arc::new(solved.row(i).to_vec());
+            cache.insert(q, Arc::clone(&row));
+            resolved.insert(q.0, row);
         }
     }
 
@@ -668,7 +657,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_row_within_budget() {
         // One shard; room for exactly two 4-element rows.
-        let cache = RwrRowCache::with_shards(2 * row_bytes(4), 1);
+        let cache = RwrRowCache::with_shards(2 * row_cost_bytes(4), 1);
         let mk = |v: f64| Arc::new(vec![v; 4]);
         cache.insert(NodeId(1), mk(1.0));
         cache.insert(NodeId(2), mk(2.0));
@@ -685,7 +674,7 @@ mod tests {
 
     #[test]
     fn oversized_rows_are_rejected_not_thrashed() {
-        let cache = RwrRowCache::with_shards(row_bytes(4), 1);
+        let cache = RwrRowCache::with_shards(row_cost_bytes(4), 1);
         cache.insert(NodeId(0), Arc::new(vec![0.0; 64]));
         assert!(cache.is_empty());
         assert_eq!(cache.stats().rejected, 1);
@@ -700,12 +689,12 @@ mod tests {
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
         let warm = [NodeId(0), NodeId(4), NodeId(8)];
-        let (first, _) = scores_with_cache(&be, &cache, &warm, None).unwrap();
+        let (first, _) = scores_with_cache(&be, &cache, &warm).unwrap();
         assert_eq!(first, be.scores(&warm).unwrap());
 
         // Overlapping second batch: 0 and 8 hit, 2 misses cold.
         let mixed = [NodeId(8), NodeId(2), NodeId(0)];
-        let (second, _) = scores_with_cache(&be, &cache, &mixed, None).unwrap();
+        let (second, _) = scores_with_cache(&be, &cache, &mixed).unwrap();
         assert_eq!(second, be.scores(&mixed).unwrap());
         let s = cache.stats();
         assert_eq!(s.hits, 2);
@@ -717,7 +706,7 @@ mod tests {
         let be = backend(8);
         let cache = RwrRowCache::new(1 << 20);
         let queries = [NodeId(3), NodeId(3), NodeId(5), NodeId(3)];
-        let (m, _) = scores_with_cache(&be, &cache, &queries, None).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &queries).unwrap();
         assert_eq!(m.query_count(), 4);
         assert_eq!(m.row(0), m.row(1));
         assert_eq!(m.row(0), m.row(3));
@@ -730,10 +719,10 @@ mod tests {
     fn thrashing_budget_still_matches_cold() {
         let be = backend(16);
         // Budget fits a single 16-node row: every batch evicts the last.
-        let cache = RwrRowCache::with_shards(row_bytes(16), 1);
+        let cache = RwrRowCache::with_shards(row_cost_bytes(16), 1);
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 5) % 16)];
-            let (m, _) = scores_with_cache(&be, &cache, &queries, None).unwrap();
+            let (m, _) = scores_with_cache(&be, &cache, &queries).unwrap();
             assert_eq!(m, be.scores(&queries).unwrap());
         }
         assert!(cache.stats().evictions > 0, "budget was supposed to thrash");
@@ -744,12 +733,12 @@ mod tests {
     fn lookups_report_this_calls_probes_only() {
         let be = backend(12);
         let cache = RwrRowCache::new(1 << 20);
-        let (_, first) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(4)], None).unwrap();
+        let (_, first) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(4)]).unwrap();
         assert_eq!(first, CacheLookups { hits: 0, misses: 2 });
         // Second request: one warm node, one cold, one duplicate (counted
         // once) — the local tally ignores the first call's traffic.
         let (m, second) =
-            scores_with_cache(&be, &cache, &[NodeId(4), NodeId(7), NodeId(4)], None).unwrap();
+            scores_with_cache(&be, &cache, &[NodeId(4), NodeId(7), NodeId(4)]).unwrap();
         assert_eq!(second, CacheLookups { hits: 1, misses: 1 });
         assert_eq!(m.query_count(), 3);
         let s = cache.stats();
@@ -761,7 +750,7 @@ mod tests {
         let be = backend(4);
         let cache = RwrRowCache::new(1 << 16);
         assert!(matches!(
-            scores_with_cache(&be, &cache, &[], None),
+            scores_with_cache(&be, &cache, &[]),
             Err(RwrError::NoQueries)
         ));
     }
@@ -775,7 +764,7 @@ mod tests {
             for _ in 0..8 {
                 let (be, cache, expect) = (&be, &cache, &expect);
                 s.spawn(move || {
-                    let (m, _) = scores_with_cache(be, cache, &[NodeId(5)], None).unwrap();
+                    let (m, _) = scores_with_cache(be, cache, &[NodeId(5)]).unwrap();
                     assert_eq!(&m, expect);
                 });
             }
@@ -798,13 +787,13 @@ mod tests {
         let be = backend(16);
         let cache = RwrRowCache::with_shards(0, 1);
         let expect = be.scores(&[NodeId(3)]).unwrap();
-        let Flight::Lead(lead) = cache.join_or_lead(NodeId(3)) else {
+        let Claim::Lead(lead) = cache.claim(NodeId(3), 16) else {
             panic!("first claim must lead");
         };
         std::thread::scope(|s| {
             let (be, cache, expect) = (&be, &cache, &expect);
             let waiter = s.spawn(move || {
-                let (m, l) = scores_with_cache(be, cache, &[NodeId(3)], None).unwrap();
+                let (m, l) = scores_with_cache(be, cache, &[NodeId(3)]).unwrap();
                 assert_eq!(&m, expect);
                 assert_eq!(l, CacheLookups { hits: 0, misses: 1 });
             });
@@ -827,13 +816,13 @@ mod tests {
         let be = backend(8);
         let cache = RwrRowCache::new(1 << 20);
         let expect = be.scores(&[NodeId(2)]).unwrap();
-        let Flight::Lead(lead) = cache.join_or_lead(NodeId(2)) else {
+        let Claim::Lead(lead) = cache.claim(NodeId(2), 8) else {
             panic!("first claim must lead");
         };
         std::thread::scope(|s| {
             let (be, cache, expect) = (&be, &cache, &expect);
             let waiter = s.spawn(move || {
-                let (m, _) = scores_with_cache(be, cache, &[NodeId(2)], None).unwrap();
+                let (m, _) = scores_with_cache(be, cache, &[NodeId(2)]).unwrap();
                 assert_eq!(&m, expect, "fallback solve matches");
             });
             std::thread::sleep(std::time::Duration::from_millis(30));
@@ -841,7 +830,85 @@ mod tests {
             waiter.join().unwrap();
         });
         assert_eq!(cache.stats().insertions, 1, "fallback inserted the row");
-        // The dead flight entry is replaced, not waited on, by later claims.
-        assert!(matches!(cache.join_or_lead(NodeId(2)), Flight::Lead(_)));
+        // The dead flight entry is replaced (here by the fallback's insert),
+        // not waited on, by later claims.
+        assert!(matches!(cache.claim(NodeId(2), 8), Claim::Hit(_)));
+    }
+
+    #[test]
+    fn stale_row_replaced_through_a_claim_keeps_bytes_exact() {
+        let be = backend(8);
+        let cache = RwrRowCache::with_shards(1 << 20, 1);
+        cache.insert(NodeId(1), Arc::new(vec![0.0; 3])); // stale shape
+        cache.insert(NodeId(6), Arc::new(vec![0.0; 8]));
+        let Claim::Lead(lead) = cache.claim(NodeId(1), 8) else {
+            panic!("a stale-shaped row must not hit");
+        };
+        // The stale row is gone and the pending entry charges nothing.
+        assert_eq!((cache.len(), cache.bytes()), (1, row_cost_bytes(8)));
+        lead.publish(
+            &cache,
+            Arc::new(be.scores(&[NodeId(1)]).unwrap().row(0).to_vec()),
+        );
+        assert_eq!((cache.len(), cache.bytes()), (2, 2 * row_cost_bytes(8)));
+        let (m, l) = scores_with_cache(&be, &cache, &[NodeId(1)]).unwrap();
+        assert_eq!(m, be.scores(&[NodeId(1)]).unwrap());
+        assert_eq!(l, CacheLookups { hits: 1, misses: 0 });
+    }
+
+    #[test]
+    fn pending_and_failed_entries_are_never_evicted_or_counted() {
+        // One shard with room for exactly one 4-element row.
+        let cache = RwrRowCache::with_shards(row_cost_bytes(4), 1);
+        let Claim::Lead(pending) = cache.claim(NodeId(1), 4) else {
+            panic!("first claim must lead");
+        };
+        let Claim::Lead(failed) = cache.claim(NodeId(2), 4) else {
+            panic!("first claim must lead");
+        };
+        drop(failed);
+        assert_eq!((cache.len(), cache.bytes()), (0, 0));
+        // Overfilling the shard evicts resident rows only.
+        cache.insert(NodeId(3), Arc::new(vec![3.0; 4]));
+        cache.insert(NodeId(4), Arc::new(vec![4.0; 4]));
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!((cache.len(), cache.bytes()), (1, row_cost_bytes(4)));
+        // Both in-flight entries survived: the live one still makes
+        // claims wait, the failed one is replaced by a new lead.
+        assert!(matches!(cache.claim(NodeId(1), 4), Claim::Wait(_)));
+        assert!(matches!(cache.claim(NodeId(2), 4), Claim::Lead(_)));
+        pending.publish(&cache, Arc::new(vec![1.0; 4]));
+        assert_eq!((cache.len(), cache.bytes()), (1, row_cost_bytes(4)));
+        assert!(cache.get(NodeId(1), 4).is_some());
+    }
+
+    #[test]
+    fn insert_over_a_pending_entry_delivers_to_its_waiters() {
+        let be = backend(12);
+        let cache = RwrRowCache::new(1 << 20);
+        let expect = be.scores(&[NodeId(4)]).unwrap();
+        let Claim::Lead(lead) = cache.claim(NodeId(4), 12) else {
+            panic!("first claim must lead");
+        };
+        std::thread::scope(|s| {
+            let (be, cache, expect) = (&be, &cache, &expect);
+            let waiter = s.spawn(move || {
+                let (m, l) = scores_with_cache(be, cache, &[NodeId(4)]).unwrap();
+                assert_eq!(&m, expect);
+                assert_eq!(l, CacheLookups { hits: 0, misses: 1 });
+            });
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            // Not the lead's publish: a plain insert of the same row. The
+            // lead then drops unpublished, which would fail the waiter over
+            // to its own solve had the insert not resolved the flight.
+            cache.insert(NodeId(4), Arc::new(expect.row(0).to_vec()));
+            drop(lead);
+            waiter.join().unwrap();
+        });
+        let st = cache.stats();
+        assert_eq!(st.insertions, 1, "the waiter did not re-solve");
+        assert_eq!(st.singleflight_waits, 1, "the waiter genuinely blocked");
+        assert!(matches!(cache.claim(NodeId(4), 12), Claim::Hit(_)));
+        assert_eq!((cache.len(), cache.bytes()), (1, row_cost_bytes(12)));
     }
 }

@@ -6,32 +6,31 @@
 //! requests missing N *different* rows issue N narrow solves where one wide
 //! one would do, and the batched SpMM kernel never sees production-shaped
 //! batches. (N requests missing the *same* row are already collapsed by the
-//! single-flight table in [`crate::cache`] — the [`Coalescer`] composes on
-//! top of it.)
+//! in-flight entries of [`crate::cache`]; the window composes on top.)
 //!
-//! A [`Coalescer`] holds a bounded **coalescing window**: the first request
-//! to arrive with led misses becomes the *window leader*, waits up to
-//! `window_us` (or until [`MAX_BATCH`] misses pool up) while concurrent
-//! requests append theirs, then drains the pool and issues **one** backend
-//! solve for every pooled node. Followers block on their own single-flight
-//! slots and receive the shared `Arc`'d rows when the leader publishes.
-//! Correctness rides entirely on the backend's batch-independence contract:
-//! a row is the same in any batch, so widening the batch can never change a
-//! reply.
+//! Every [`RwrRowCache`](crate::cache::RwrRowCache) owns one window,
+//! set when the cache is built
+//! ([`with_coalesce_us`](crate::cache::RwrRowCache::with_coalesce_us)),
+//! and every led miss passes through it. With the window open
+//! (`window_us > 0`) the first request to arrive becomes the *window
+//! leader*, waits up to `window_us` (or until [`MAX_BATCH`] misses pool up)
+//! while concurrent requests append theirs, then takes the whole pool as
+//! **one** batch to solve. Followers block on their own in-flight slots and
+//! receive the shared `Arc`'d rows when the leader publishes. Correctness
+//! rides entirely on the backend's batch-independence contract: a row is
+//! the same in any batch, so widening the batch can never change a reply.
 //!
 //! A lone request pays at most `window_us` of added latency (the starvation
 //! bound — its own leader drains the pool when the window times out), which
-//! is why the window defaults to **off** (`window_us == 0`) and is an
-//! explicit opt-in for repeat-heavy deployments.
+//! is why the window defaults to **off** (`window_us == 0`): each request's
+//! misses are then its batch at once, with no pooling, no foreign rows and
+//! no window counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ceps_graph::NodeId;
-
-use crate::backend::ScoreBackend;
-use crate::cache::{FlightLead, RwrRowCache};
+use crate::cache::FlightLead;
 
 /// The window drains early once this many misses have pooled up. The
 /// drained batch may exceed it when many requests append in the same
@@ -58,11 +57,11 @@ struct Pool {
     leader_active: bool,
 }
 
-/// The shared miss-coalescing window (see the module docs). Cheap to share:
-/// wrap in `Arc`; all methods take `&self`.
+/// A cache's miss-coalescing window (see the module docs).
 #[derive(Debug)]
-pub struct Coalescer {
-    /// How long the window leader holds the window open, in microseconds.
+pub(crate) struct Window {
+    /// How long the window leader holds the window open, in microseconds;
+    /// `0` turns the window off.
     window_us: u64,
     /// Early-drain threshold: [`MAX_BATCH`] outside this module's tests.
     max_batch: usize,
@@ -75,17 +74,9 @@ pub struct Coalescer {
     coalesced: AtomicU64,
 }
 
-impl Coalescer {
-    /// Creates a coalescer whose leader holds each window open for up to
-    /// `window_us` microseconds. `0` disables coalescing entirely (every
-    /// request solves its own misses immediately; single-flight still
-    /// applies).
-    pub fn new(window_us: u64) -> Self {
-        Self::with_max_batch(window_us, MAX_BATCH)
-    }
-
-    pub(crate) fn with_max_batch(window_us: u64, max_batch: usize) -> Self {
-        Coalescer {
+impl Window {
+    pub(crate) fn new(window_us: u64, max_batch: usize) -> Self {
+        Window {
             window_us,
             max_batch,
             pool: Mutex::new(Pool::default()),
@@ -96,13 +87,8 @@ impl Coalescer {
         }
     }
 
-    /// Whether coalescing is actually on (`window_us > 0`).
-    pub fn enabled(&self) -> bool {
-        self.window_us > 0
-    }
-
     /// Snapshot of the behaviour counters.
-    pub fn stats(&self) -> CoalesceStats {
+    pub(crate) fn stats(&self) -> CoalesceStats {
         CoalesceStats {
             batches: self.batches.load(Ordering::Relaxed),
             batch_rows: self.batch_rows.load(Ordering::Relaxed),
@@ -110,22 +96,15 @@ impl Coalescer {
         }
     }
 
-    /// Submits one request's led misses to the window and guarantees every
-    /// one of them gets published (or failed) — by this thread if it becomes
-    /// the window leader, by a concurrent leader otherwise. Callers keep
-    /// slot handles (via [`FlightLead::slot`]) *before* submitting and block
-    /// on those to collect their rows; this method itself returns as soon as
-    /// the caller's responsibility is discharged.
-    ///
-    /// A failed batched solve fails every pooled flight; each participating
-    /// request then falls back to a direct solve of its own nodes, so errors
-    /// are reported per-request and never lost.
-    pub(crate) fn resolve(
-        &self,
-        backend: &dyn ScoreBackend,
-        cache: &RwrRowCache,
-        leads: Vec<FlightLead>,
-    ) {
+    /// Hands one request's led misses to the window and returns the batch
+    /// the calling thread must now solve and publish: its own `leads` at
+    /// once when the window is off; as window leader, every lead pooled
+    /// before the window closed; `None` when a concurrent window leader
+    /// took them over.
+    pub(crate) fn gather(&self, leads: Vec<FlightLead>) -> Option<Vec<FlightLead>> {
+        if self.window_us == 0 {
+            return Some(leads);
+        }
         let my_count = leads.len();
         let mut pool = self.pool.lock().unwrap();
         pool.pending.extend(leads);
@@ -134,11 +113,11 @@ impl Coalescer {
             // open under this mutex's condvar, so our append is visible to
             // it); wake it in case the pool just crossed `max_batch`.
             self.cv.notify_all();
-            return;
+            return None;
         }
 
         // Become the window leader: hold the window open for `window_us`
-        // or until `max_batch` misses pool up, then drain and solve once.
+        // or until `max_batch` misses pool up, then drain.
         pool.leader_active = true;
         let deadline = Instant::now() + Duration::from_micros(self.window_us);
         while pool.pending.len() < self.max_batch {
@@ -166,28 +145,17 @@ impl Coalescer {
         }
         ceps_obs::counter("serve.coalesce.batches", 1);
         ceps_obs::counter("serve.coalesce.rows", batch.len() as u64);
-
-        let nodes: Vec<NodeId> = batch.iter().map(FlightLead::node).collect();
-        match backend.scores(&nodes) {
-            Ok(solved) => {
-                for (i, lead) in batch.into_iter().enumerate() {
-                    lead.publish(cache, std::sync::Arc::new(solved.row(i).to_vec()));
-                }
-            }
-            // Dropping the leads fails every pooled flight; participants
-            // fall back to direct solves and surface the error themselves.
-            Err(_) => drop(batch),
-        }
+        Some(batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::IterativeScores;
+    use crate::backend::{IterativeScores, ScoreBackend};
     use crate::cache::{scores_with_cache, RwrRowCache};
     use crate::RwrConfig;
-    use ceps_graph::{normalize::Normalization, GraphBuilder, Transition};
+    use ceps_graph::{normalize::Normalization, GraphBuilder, NodeId, Transition};
     use std::sync::Arc;
 
     fn backend(n: u32) -> IterativeScores {
@@ -211,24 +179,37 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_disables_coalescing() {
-        assert!(!Coalescer::new(0).enabled());
-        let co = Coalescer::new(100);
-        assert!(co.enabled());
-        assert_eq!(co.stats(), CoalesceStats::default());
+    fn zero_window_drains_at_once_and_counts_nothing() {
+        // Window 0: every request's misses are its own batch, solved at
+        // once, with no window counters — concurrent requests included.
+        let be = backend(32);
+        let cache = RwrRowCache::new(1 << 20);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (be, cache) = (&be, &cache);
+                s.spawn(move || {
+                    let queries = [NodeId(t * 4), NodeId(t * 4 + 1)];
+                    let (m, _) = scores_with_cache(be, cache, &queries).unwrap();
+                    assert_eq!(m, be.scores(&queries).unwrap());
+                });
+            }
+        });
+        assert_eq!(cache.stats().insertions, 8);
+        assert_eq!(cache.coalesce_stats(), CoalesceStats::default());
+        let open = RwrRowCache::new(1 << 20).with_coalesce_us(100);
+        assert_eq!(open.coalesce_stats(), CoalesceStats::default());
     }
 
     #[test]
     fn coalesced_path_matches_cold_solves_bitwise() {
         let be = backend(16);
-        let cache = RwrRowCache::new(1 << 20);
-        let co = Coalescer::new(200);
+        let cache = RwrRowCache::new(1 << 20).with_coalesce_us(200);
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 7) % 16)];
-            let (m, _) = scores_with_cache(&be, &cache, &queries, Some(&co)).unwrap();
+            let (m, _) = scores_with_cache(&be, &cache, &queries).unwrap();
             assert_eq!(m, be.scores(&queries).unwrap());
         }
-        let s = co.stats();
+        let s = cache.coalesce_stats();
         assert!(s.batches >= 1, "sequential misses still drain windows");
         assert_eq!(s.coalesced, 0, "no concurrency, nothing foreign");
     }
@@ -239,19 +220,18 @@ mod tests {
         // at least some rows must ride another thread's batch, and every
         // result must stay bitwise-identical to a cold solve.
         let be = backend(32);
-        let cache = RwrRowCache::new(1 << 20);
-        let co = Coalescer::new(50_000);
+        let cache = RwrRowCache::new(1 << 20).with_coalesce_us(50_000);
         std::thread::scope(|s| {
             for t in 0..8u32 {
-                let (be, cache, co) = (&be, &cache, &co);
+                let (be, cache) = (&be, &cache);
                 s.spawn(move || {
                     let queries = [NodeId(t * 4), NodeId(t * 4 + 1)];
-                    let (m, _) = scores_with_cache(be, cache, &queries, Some(co)).unwrap();
+                    let (m, _) = scores_with_cache(be, cache, &queries).unwrap();
                     assert_eq!(m, be.scores(&queries).unwrap());
                 });
             }
         });
-        let s = co.stats();
+        let s = cache.coalesce_stats();
         assert_eq!(s.batch_rows, 16, "every distinct miss solved exactly once");
         assert!(
             s.batches < 16,
@@ -268,10 +248,9 @@ mod tests {
         // under a second for a 20ms window), because its own leader drains
         // the pool on timeout.
         let be = backend(12);
-        let cache = RwrRowCache::new(1 << 20);
-        let co = Coalescer::new(20_000);
+        let cache = RwrRowCache::new(1 << 20).with_coalesce_us(20_000);
         let t0 = Instant::now();
-        let (m, _) = scores_with_cache(&be, &cache, &[NodeId(3)], Some(&co)).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &[NodeId(3)]).unwrap();
         let elapsed = t0.elapsed();
         assert_eq!(m, be.scores(&[NodeId(3)]).unwrap());
         assert!(
@@ -282,18 +261,18 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "window must time out, not hang (took {elapsed:?})"
         );
-        assert_eq!(co.stats().batches, 1);
+        assert_eq!(cache.coalesce_stats().batches, 1);
     }
 
     #[test]
     fn max_batch_drains_the_window_early() {
         let be = backend(16);
-        let cache = RwrRowCache::new(1 << 20);
+        let mut cache = RwrRowCache::new(1 << 20);
         // Window long enough that only the max_batch early-drain can
         // explain a fast finish.
-        let co = Coalescer::with_max_batch(6_000_000, 2); // 6s window
+        cache.window = Window::new(6_000_000, 2); // 6s window
         let t0 = Instant::now();
-        let (m, _) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(5)], Some(&co)).unwrap();
+        let (m, _) = scores_with_cache(&be, &cache, &[NodeId(0), NodeId(5)]).unwrap();
         assert_eq!(m, be.scores(&[NodeId(0), NodeId(5)]).unwrap());
         assert!(
             t0.elapsed() < Duration::from_secs(3),

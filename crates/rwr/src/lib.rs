@@ -55,7 +55,7 @@ pub mod variants;
 
 pub use backend::{IterativeScores, PushScores, ScoreBackend};
 pub use cache::{row_cost_bytes, scores_with_cache, CacheLookups, CacheStats, RwrRowCache};
-pub use coalesce::{CoalesceStats, Coalescer};
+pub use coalesce::CoalesceStats;
 pub use error::RwrError;
 pub use scores::ScoreMatrix;
 pub use scratch::ScratchPool;
