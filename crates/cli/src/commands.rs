@@ -523,8 +523,9 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
                 .hit_rate()
                 .map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", 100.0 * r));
             out.push_str(&format!(
-                "cache: {rate} hits ({} hits / {} misses, {} evictions, budget {} MiB)\n",
-                stats.hits, stats.misses, stats.evictions, args.cache_mb,
+                "cache: {rate} hits ({} hits / {} misses, {} evictions, {} rejected, \
+                 budget {} MiB)\n",
+                stats.hits, stats.misses, stats.evictions, stats.rejected, args.cache_mb,
             ));
             out.push_str(&format!(
                 "cache fill {:.1}% ({} rows, {} warmed); single-flight waits {}; \
@@ -639,6 +640,7 @@ fn serve_listen(
                     "hits": c.hits,
                     "misses": c.misses,
                     "evictions": c.evictions,
+                    "rejected": c.rejected,
                 })
             }),
             "traces_written": server.tracer().map(ceps_core::RequestTracer::written),
@@ -685,11 +687,13 @@ fn render_server_health(stats: &ceps_net::ServerStats) -> String {
         stats.queue_p50_ms,
         stats.queue_p99_ms,
         stats.cache.as_ref().map_or(String::new(), |c| format!(
-            "cache: {} hits / {} misses, {} evictions; fill {:.1}% ({} rows, {} warmed)\n\
+            "cache: {} hits / {} misses, {} evictions, {} rejected; \
+             fill {:.1}% ({} rows, {} warmed)\n\
              single-flight waits {}; coalesced {} rows in {} batches\n",
             c.hits,
             c.misses,
             c.evictions,
+            c.rejected,
             100.0 * stats.cache_fill,
             stats.cache_rows,
             stats.warm_rows,

@@ -32,7 +32,7 @@
 //! updates; swept nodes outside that cone carry none and change nothing.
 //!
 //! Kernel: candidate `p`'s DP row is a `−∞` guard slot, then its `width`
-//! slots, padded with `−∞` to whole [`BLOCK`]-slot blocks. Slot `s` of a
+//! slots, padded with `−∞` to whole `BLOCK`-slot blocks. Slot `s` of a
 //! new node reads its predecessor's slot `s − 1` and a free node reads
 //! slot `s`, so each block of `v`'s row is fed by one contiguous 8-slot
 //! window of each predecessor's row (the guard stands in for `s − 1 = −1`).

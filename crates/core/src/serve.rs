@@ -162,14 +162,13 @@ impl ServeReply {
 /// let engine = CepsEngine::new(b.build().unwrap(), CepsConfig::default()).unwrap();
 /// let service = CepsServiceBuilder::new()
 ///     .cache_bytes(16 << 20)
-///     .shards(4)
+///     .coalesce_us(200)
 ///     .build(engine);
 /// assert!(service.cache_stats().is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct CepsServiceBuilder {
     cache_bytes: usize,
-    shards: Option<usize>,
     coalesce_us: u64,
 }
 
@@ -177,15 +176,14 @@ impl Default for CepsServiceBuilder {
     fn default() -> Self {
         CepsServiceBuilder {
             cache_bytes: DEFAULT_CACHE_BYTES,
-            shards: None,
             coalesce_us: 0,
         }
     }
 }
 
 impl CepsServiceBuilder {
-    /// Starts from the defaults: a [`DEFAULT_CACHE_BYTES`] cache with the
-    /// default shard count, no coalescing.
+    /// Starts from the defaults: a [`DEFAULT_CACHE_BYTES`] cache, no
+    /// coalescing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -200,13 +198,6 @@ impl CepsServiceBuilder {
     /// Disables the row cache (sugar for `cache_bytes(0)`).
     pub fn uncached(self) -> Self {
         self.cache_bytes(0)
-    }
-
-    /// Sets an explicit cache shard count (default:
-    /// [`ceps_rwr::cache::DEFAULT_SHARDS`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
     }
 
     /// Sets the row cache's miss-coalescing window (see
@@ -225,11 +216,9 @@ impl CepsServiceBuilder {
         let cache = if self.cache_bytes == 0 {
             None
         } else {
-            let cache = match self.shards {
-                Some(s) => RwrRowCache::with_shards(self.cache_bytes, s),
-                None => RwrRowCache::new(self.cache_bytes),
-            };
-            Some(Arc::new(cache.with_coalesce_us(self.coalesce_us)))
+            Some(Arc::new(
+                RwrRowCache::new(self.cache_bytes).with_coalesce_us(self.coalesce_us),
+            ))
         };
         CepsService {
             engine,
@@ -974,10 +963,7 @@ mod tests {
         // Smoke test: many workers hammer one small cache; results must
         // match the serial, uncached engine bitwise.
         let e = engine();
-        let service = CepsServiceBuilder::new()
-            .cache_bytes(4096)
-            .shards(2)
-            .build(e.clone());
+        let service = CepsServiceBuilder::new().cache_bytes(4096).build(e.clone());
         let stream: Vec<Vec<NodeId>> = (0..20).map(|i| vec![NodeId(i % 15)]).collect();
         let out = service.serve_stream(&stream, 4, None).unwrap();
         assert_eq!(out.completed, 20);

@@ -182,6 +182,10 @@ pub struct WireCacheStats {
     pub misses: u64,
     /// Rows evicted under the byte budget.
     pub evictions: u64,
+    /// Rows refused because each alone exceeds the byte budget (absent
+    /// from older v1 servers' snapshots, which decode it as 0).
+    #[serde(default)]
+    pub rejected: u64,
 }
 
 /// Health snapshot a `Stats` frame returns (and `serve` on exit).
@@ -427,6 +431,7 @@ impl CepsServer {
                 hits: c.hits,
                 misses: c.misses,
                 evictions: c.evictions,
+                rejected: c.rejected,
             }),
             cache_fill: health.fill_ratio(),
             cache_rows: health.cache_rows as u64,

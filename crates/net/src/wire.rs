@@ -527,6 +527,27 @@ mod tests {
     }
 
     #[test]
+    fn legacy_stats_replies_without_rejected_still_decode() {
+        // A v1 server that predates the rejection counter omits it.
+        let json = r#"{"Stats":{"id":3,"stats":{"proto":"ceps-wire/v1",
+            "connections":1,"frames":4,"queries":2,"sheds":0,"errors":0,
+            "in_flight":0,"uptime_ms":10,
+            "cache":{"hits":3,"misses":3,"evictions":0}}}}"#;
+        let Reply::Stats { stats, .. } = serde_json::from_str(json).unwrap() else {
+            panic!("expected Stats");
+        };
+        let cache = stats.cache.expect("cache counters present");
+        assert_eq!((cache.hits, cache.misses, cache.rejected), (3, 3, 0));
+        let rejected = crate::WireCacheStats {
+            rejected: 2,
+            ..cache
+        };
+        let back: crate::WireCacheStats =
+            serde_json::from_str(&serde_json::to_string(&rejected).unwrap()).unwrap();
+        assert_eq!(back, rejected);
+    }
+
+    #[test]
     fn wire_trace_round_trips_and_rejects_garbage() {
         let ctx = ceps_obs::TraceContext {
             trace_id: 0xdead_beef_0000_0001,

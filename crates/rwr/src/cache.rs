@@ -8,21 +8,26 @@
 //! across queries, which is where serving workloads win: repository queries
 //! are community hubs, so real query streams repeat nodes constantly.
 //!
-//! [`RwrRowCache`] is the store: sharded (`NodeId % shards` → one mutex per
-//! shard, so concurrent workers rarely contend), bytes-budgeted (each shard
-//! owns `budget / shards` bytes and LRU-evicts by a global logical clock when
-//! full) and keyed by `NodeId` alone — the cache must therefore live no wider
-//! than one backend. **Invalidation rule: one cache per
-//! `(transition, RwrConfig, score variant)`; rebuild the graph or retune the
-//! solver → drop the cache.** As defense in depth, lookups whose stored row
-//! length disagrees with the caller's expected node count miss instead of
-//! returning a stale-shaped row.
+//! [`RwrRowCache`] is the store: **one table** behind one mutex,
+//! bytes-budgeted (one budget for the whole table, LRU-evicting by a
+//! logical clock when full) and keyed by `NodeId` alone — the cache must
+//! therefore live no wider than one backend. **Invalidation rule: one cache
+//! per `(transition, RwrConfig, score variant)`; rebuild the graph or retune
+//! the solver → drop the cache.** As defense in depth, lookups whose stored
+//! row length disagrees with the caller's expected node count miss instead
+//! of returning a stale-shaped row.
 //!
-//! Each shard holds **one table** whose entries are either a resident row
-//! or an in-flight solve (single-flight): probing a node and, on a miss,
-//! claiming or joining its solve is one lock acquisition, and publishing
-//! the solved row is one more. Eviction, [`RwrRowCache::len`] and
-//! [`RwrRowCache::bytes`] see resident rows only.
+//! One budget and one LRU order matter for skewed traffic: a hot set that
+//! fits the budget stays resident whichever nodes it holds, and a row is
+//! refused only when it alone exceeds the whole budget. The lock is held
+//! for a map probe or an insert, never for a solve, and evicted rows are
+//! freed after it is released.
+//!
+//! The table's entries are either a resident row or an in-flight solve
+//! (single-flight): probing a node and, on a miss, claiming or joining its
+//! solve is one lock acquisition, and publishing the solved row is one
+//! more. Eviction, [`RwrRowCache::len`] and [`RwrRowCache::bytes`] see
+//! resident rows only.
 //!
 //! [`scores_with_cache`] is the one assembly loop every cached caller uses
 //! (serving Step 1 and cache warming alike): claim every query, hand this
@@ -34,8 +39,7 @@
 //! copies or invalidates a row a reader still holds.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ceps_graph::NodeId;
@@ -48,21 +52,17 @@ use crate::{Result, RwrError, ScoreMatrix};
 /// the `8 × len` payload when budgeting.
 const ROW_OVERHEAD_BYTES: usize = 64;
 
-/// Default shard count — enough to keep a handful of workers from
-/// serialising on one mutex without fragmenting small budgets.
-pub const DEFAULT_SHARDS: usize = 16;
-
 #[derive(Debug)]
 struct CachedRow {
     row: Arc<Vec<f64>>,
-    /// Last-touch tick from the cache-wide logical clock; smallest = LRU.
+    /// Last-touch tick from the table's logical clock; smallest = LRU.
     tick: u64,
 }
 
-/// One shard-table entry.
+/// One table entry.
 #[derive(Debug)]
 enum Entry {
-    /// A row charged against the shard's budget.
+    /// A row charged against the budget.
     Resident(CachedRow),
     /// A solve in flight (or left behind by a failed lead, which the next
     /// claim replaces). Never evicted, never charged.
@@ -70,23 +70,37 @@ enum Entry {
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Table {
     entries: HashMap<u32, Entry>,
     /// Bytes charged by the resident rows.
     bytes: usize,
+    /// Logical clock: advanced by every probe and insert.
+    clock: u64,
+    stats: CacheStats,
 }
 
-impl Shard {
+impl Table {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
     /// The resident row for `key`, with its LRU tick refreshed, when its
-    /// length is `expected_len`.
-    fn hit(&mut self, key: u32, expected_len: usize, tick: u64) -> Option<Arc<Vec<f64>>> {
-        match self.entries.get_mut(&key) {
+    /// length is `expected_len`; counts the probe as a hit or a miss.
+    fn hit(&mut self, key: u32, expected_len: usize) -> Option<Arc<Vec<f64>>> {
+        let tick = self.tick();
+        let row = match self.entries.get_mut(&key) {
             Some(Entry::Resident(entry)) if entry.row.len() == expected_len => {
                 entry.tick = tick;
                 Some(Arc::clone(&entry.row))
             }
             _ => None,
+        };
+        match row {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        row
     }
 
     /// Removes `key`'s entry, uncharging it when it was a resident row.
@@ -98,7 +112,8 @@ impl Shard {
         old
     }
 
-    fn evict_lru(&mut self) -> bool {
+    /// Removes the least recently touched resident row, if any.
+    fn evict_lru(&mut self) -> Option<Entry> {
         let victim = self
             .entries
             .iter()
@@ -107,9 +122,19 @@ impl Shard {
                 Entry::Pending(_) => None,
             })
             .min_by_key(|&(_, tick)| tick)
-            .map(|(k, _)| k);
-        victim.map(|k| self.take(k)).is_some()
+            .map(|(k, _)| k)?;
+        self.take(victim)
     }
+}
+
+/// Mirrors one probe's outcome into the metrics registry.
+fn record_probe(hit: bool) {
+    let name = if hit {
+        "rwr.cache.hits"
+    } else {
+        "rwr.cache.misses"
+    };
+    ceps_obs::counter(name, 1);
 }
 
 /// Bytes one cached row of `len` scores is charged against the budget —
@@ -236,7 +261,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Rows accepted into the store.
     pub insertions: u64,
-    /// Rows refused because they exceed a whole shard's budget on their own.
+    /// Rows refused because they exceed the whole byte budget on their own
+    /// (every row, under a zero budget). A refused row is still returned to
+    /// the request that solved it; it just never becomes resident.
     pub rejected: u64,
     /// Misses that blocked on another request's in-flight solve instead of
     /// duplicating it (single-flight). A subset of `misses`: the probe that
@@ -256,51 +283,28 @@ impl CacheStats {
     }
 }
 
-/// Sharded, bytes-budgeted, LRU-evicting store of RWR rows keyed by query
+/// Bytes-budgeted, LRU-evicting store of RWR rows keyed by query
 /// [`NodeId`], with single-flight and a miss-coalescing window.
 ///
 /// Cheap to share: wrap in `Arc` and clone the handle across workers. All
-/// methods take `&self`; internal mutation is per-shard `Mutex` plus atomics.
+/// methods take `&self`; one `Mutex` guards the table and its counters.
 #[derive(Debug)]
 pub struct RwrRowCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte ceiling (total budget / shard count).
-    shard_budget: usize,
+    table: Mutex<Table>,
+    /// Byte ceiling for the resident rows.
+    budget: usize,
     /// The coalescing window every led miss drains through.
     pub(crate) window: Window,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    rejected: AtomicU64,
-    singleflight_waits: AtomicU64,
 }
 
 impl RwrRowCache {
-    /// Creates a cache with `byte_budget` total capacity across
-    /// [`DEFAULT_SHARDS`] shards and the coalescing window off. A zero
-    /// budget is legal and caches nothing.
+    /// Creates a cache with `byte_budget` total capacity and the coalescing
+    /// window off. A zero budget is legal and caches nothing.
     pub fn new(byte_budget: usize) -> Self {
-        Self::with_shards(byte_budget, DEFAULT_SHARDS)
-    }
-
-    /// Creates a cache with an explicit shard count (clamped to ≥ 1) and the
-    /// coalescing window off. The budget splits evenly: each shard may hold
-    /// `byte_budget / shards` bytes.
-    pub fn with_shards(byte_budget: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         RwrRowCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: byte_budget / shards,
+            table: Mutex::new(Table::default()),
+            budget: byte_budget,
             window: Window::new(0, MAX_BATCH),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            singleflight_waits: AtomicU64::new(0),
         }
     }
 
@@ -314,38 +318,30 @@ impl RwrRowCache {
         self
     }
 
-    fn shard(&self, node: NodeId) -> &Mutex<Shard> {
-        &self.shards[node.index() % self.shards.len()]
-    }
-
-    fn count_probe(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            ceps_obs::counter("rwr.cache.hits", 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            ceps_obs::counter("rwr.cache.misses", 1);
-        }
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table
+            .lock()
+            .expect("row-cache table poisoned by a panicking holder")
     }
 
     /// Probes `node` and, on a miss, claims or joins its solve under one
-    /// shard lock: a resident row of length `expected_len` is a
+    /// lock acquisition: a resident row of length `expected_len` is a
     /// [`Claim::Hit`]; a live in-flight entry is a [`Claim::Wait`];
     /// anything else (absent, stale-shaped, or left by a failed lead) is
     /// replaced by a fresh in-flight entry this request leads.
     pub(crate) fn claim(&self, node: NodeId, expected_len: usize) -> Claim {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.shard(node).lock().unwrap();
-        let shard = &mut *guard;
-        let claim = if let Some(row) = shard.hit(node.0, expected_len, tick) {
+        let mut guard = self.table();
+        let table = &mut *guard;
+        let mut stale = None;
+        let claim = if let Some(row) = table.hit(node.0, expected_len) {
             Claim::Hit(row)
         } else {
-            match shard.entries.get(&node.0) {
+            match table.entries.get(&node.0) {
                 Some(Entry::Pending(slot)) if !slot.is_failed() => Claim::Wait(Arc::clone(slot)),
                 _ => {
-                    shard.take(node.0);
+                    stale = table.take(node.0);
                     let slot = Arc::new(FlightSlot::new());
-                    shard
+                    table
                         .entries
                         .insert(node.0, Entry::Pending(Arc::clone(&slot)));
                     Claim::Lead(FlightLead { node, slot })
@@ -353,7 +349,8 @@ impl RwrRowCache {
             }
         };
         drop(guard);
-        self.count_probe(matches!(claim, Claim::Hit(_)));
+        drop(stale);
+        record_probe(matches!(claim, Claim::Hit(_)));
         claim
     }
 
@@ -368,7 +365,7 @@ impl RwrRowCache {
         }
         let t0 = Instant::now();
         let out = slot.wait();
-        self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
+        self.table().stats.singleflight_waits += 1;
         ceps_obs::counter("serve.singleflight_total", 1);
         ceps_obs::record(
             "serve.singleflight_wait_ms",
@@ -400,75 +397,67 @@ impl RwrRowCache {
     /// that outlived its graph) is treated as a miss, not returned; so is a
     /// solve still in flight.
     pub fn get(&self, node: NodeId, expected_len: usize) -> Option<Arc<Vec<f64>>> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let hit = self
-            .shard(node)
-            .lock()
-            .unwrap()
-            .hit(node.0, expected_len, tick);
-        self.count_probe(hit.is_some());
+        let hit = self.table().hit(node.0, expected_len);
+        record_probe(hit.is_some());
         hit
     }
 
     /// Inserts (or refreshes) the row for `node`, evicting least-recently
-    /// used rows in its shard until the shard fits its budget. A solve in
-    /// flight for `node` is resolved with this row, so its waiters receive
-    /// it whatever the store does with it.
+    /// used rows until the table fits its budget. A solve in flight for
+    /// `node` is resolved with this row, so its waiters receive it whatever
+    /// the store does with it.
     ///
-    /// Rows that alone exceed the per-shard budget are rejected outright —
-    /// admitting one would evict the whole shard and still not fit — and
-    /// leave no entry for `node` behind.
+    /// A row that alone exceeds the whole budget is rejected outright —
+    /// admitting it would evict every row and still not fit — and leaves
+    /// no entry for `node` behind.
     pub fn insert(&self, node: NodeId, row: Arc<Vec<f64>>) {
         let incoming = row_cost_bytes(row.len());
-        let fits = incoming <= self.shard_budget;
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut evicted = 0u64;
-        {
-            let mut guard = self.shard(node).lock().unwrap();
-            let shard = &mut *guard;
-            if let Some(Entry::Pending(slot)) = shard.take(node.0) {
-                slot.resolve(FlightState::Done(Arc::clone(&row)));
-            }
-            if fits {
-                while shard.bytes + incoming > self.shard_budget {
-                    if shard.evict_lru() {
-                        evicted += 1;
-                    } else {
-                        break;
-                    }
-                }
-                shard.bytes += incoming;
-                shard
-                    .entries
-                    .insert(node.0, Entry::Resident(CachedRow { row, tick }));
-            }
+        let fits = incoming <= self.budget;
+        let mut guard = self.table();
+        let table = &mut *guard;
+        let old = table.take(node.0);
+        if let Some(Entry::Pending(slot)) = &old {
+            slot.resolve(FlightState::Done(Arc::clone(&row)));
         }
+        let mut evicted = Vec::new();
+        if fits {
+            while table.bytes + incoming > self.budget {
+                let Some(victim) = table.evict_lru() else {
+                    break;
+                };
+                evicted.push(victim);
+            }
+            let tick = table.tick();
+            table.bytes += incoming;
+            table
+                .entries
+                .insert(node.0, Entry::Resident(CachedRow { row, tick }));
+            table.stats.insertions += 1;
+            table.stats.evictions += evicted.len() as u64;
+        } else {
+            table.stats.rejected += 1;
+        }
+        drop(guard);
+        // The replaced and evicted rows are freed outside the lock.
+        let evicted_rows = evicted.len() as u64;
+        drop((old, evicted));
         if !fits {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
             ceps_obs::counter("rwr.cache.rejected", 1);
             return;
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
         ceps_obs::counter("rwr.cache.insertions", 1);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            ceps_obs::counter("rwr.cache.evictions", evicted);
+        if evicted_rows > 0 {
+            ceps_obs::counter("rwr.cache.evictions", evicted_rows);
         }
     }
 
-    /// Number of rows currently resident across all shards.
+    /// Number of rows currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().unwrap();
-                shard
-                    .entries
-                    .values()
-                    .filter(|e| matches!(e, Entry::Resident(_)))
-                    .count()
-            })
-            .sum()
+        self.table()
+            .entries
+            .values()
+            .filter(|e| matches!(e, Entry::Resident(_)))
+            .count()
     }
 
     /// True when no rows are resident.
@@ -476,26 +465,19 @@ impl RwrRowCache {
         self.len() == 0
     }
 
-    /// Bytes currently charged across all shards.
+    /// Bytes currently charged by the resident rows.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().bytes).sum()
+        self.table().bytes
     }
 
-    /// Total byte budget (per-shard budget × shard count).
+    /// Total byte budget.
     pub fn byte_budget(&self) -> usize {
-        self.shard_budget * self.shards.len()
+        self.budget
     }
 
     /// Snapshot of the behaviour counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            singleflight_waits: self.singleflight_waits.load(Ordering::Relaxed),
-        }
+        self.table().stats
     }
 
     /// Snapshot of the coalescing-window counters (zeros while the window
@@ -656,8 +638,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_row_within_budget() {
-        // One shard; room for exactly two 4-element rows.
-        let cache = RwrRowCache::with_shards(2 * row_cost_bytes(4), 1);
+        // Room for exactly two 4-element rows.
+        let cache = RwrRowCache::new(2 * row_cost_bytes(4));
         let mk = |v: f64| Arc::new(vec![v; 4]);
         cache.insert(NodeId(1), mk(1.0));
         cache.insert(NodeId(2), mk(2.0));
@@ -674,7 +656,7 @@ mod tests {
 
     #[test]
     fn oversized_rows_are_rejected_not_thrashed() {
-        let cache = RwrRowCache::with_shards(row_cost_bytes(4), 1);
+        let cache = RwrRowCache::new(row_cost_bytes(4));
         cache.insert(NodeId(0), Arc::new(vec![0.0; 64]));
         assert!(cache.is_empty());
         assert_eq!(cache.stats().rejected, 1);
@@ -682,6 +664,34 @@ mod tests {
         let none = RwrRowCache::new(0);
         none.insert(NodeId(0), Arc::new(vec![0.0; 1]));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn hot_nodes_sharing_a_residue_stay_resident_under_one_budget() {
+        // Eight nodes that agree mod 16, in a budget that pays for 32 rows:
+        // the whole set stays resident and the second pass is all hits.
+        let be = backend(128);
+        let cache = RwrRowCache::new(32 * row_cost_bytes(128));
+        let hot: Vec<NodeId> = (0..8).map(|i| NodeId(16 * i)).collect();
+        let (_, first) = scores_with_cache(&be, &cache, &hot).unwrap();
+        assert_eq!(first, CacheLookups { hits: 0, misses: 8 });
+        let (m, second) = scores_with_cache(&be, &cache, &hot).unwrap();
+        assert_eq!(m, be.scores(&hot).unwrap());
+        assert_eq!(second, CacheLookups { hits: 8, misses: 0 });
+        assert_eq!(cache.stats().evictions, 0);
+        assert_eq!(cache.len(), 8);
+    }
+
+    #[test]
+    fn a_row_within_the_whole_budget_is_kept() {
+        // One row that uses most of the budget: refused only when it
+        // exceeds the whole budget, not a fraction of it.
+        let cache = RwrRowCache::new(row_cost_bytes(64));
+        cache.insert(NodeId(5), Arc::new(vec![0.5; 64]));
+        assert_eq!(cache.stats().rejected, 0);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.bytes(), cache.byte_budget());
+        assert!(cache.get(NodeId(5), 64).is_some());
     }
 
     #[test]
@@ -719,7 +729,7 @@ mod tests {
     fn thrashing_budget_still_matches_cold() {
         let be = backend(16);
         // Budget fits a single 16-node row: every batch evicts the last.
-        let cache = RwrRowCache::with_shards(row_cost_bytes(16), 1);
+        let cache = RwrRowCache::new(row_cost_bytes(16));
         for round in 0..4u32 {
             let queries = [NodeId(round), NodeId((round + 5) % 16)];
             let (m, _) = scores_with_cache(&be, &cache, &queries).unwrap();
@@ -785,7 +795,7 @@ mod tests {
         // travels through the slot's `Arc`, not the store, so the waiter
         // must still receive it.
         let be = backend(16);
-        let cache = RwrRowCache::with_shards(0, 1);
+        let cache = RwrRowCache::new(0);
         let expect = be.scores(&[NodeId(3)]).unwrap();
         let Claim::Lead(lead) = cache.claim(NodeId(3), 16) else {
             panic!("first claim must lead");
@@ -838,7 +848,7 @@ mod tests {
     #[test]
     fn stale_row_replaced_through_a_claim_keeps_bytes_exact() {
         let be = backend(8);
-        let cache = RwrRowCache::with_shards(1 << 20, 1);
+        let cache = RwrRowCache::new(1 << 20);
         cache.insert(NodeId(1), Arc::new(vec![0.0; 3])); // stale shape
         cache.insert(NodeId(6), Arc::new(vec![0.0; 8]));
         let Claim::Lead(lead) = cache.claim(NodeId(1), 8) else {
@@ -858,8 +868,8 @@ mod tests {
 
     #[test]
     fn pending_and_failed_entries_are_never_evicted_or_counted() {
-        // One shard with room for exactly one 4-element row.
-        let cache = RwrRowCache::with_shards(row_cost_bytes(4), 1);
+        // Room for exactly one 4-element row.
+        let cache = RwrRowCache::new(row_cost_bytes(4));
         let Claim::Lead(pending) = cache.claim(NodeId(1), 4) else {
             panic!("first claim must lead");
         };
@@ -868,7 +878,7 @@ mod tests {
         };
         drop(failed);
         assert_eq!((cache.len(), cache.bytes()), (0, 0));
-        // Overfilling the shard evicts resident rows only.
+        // Overfilling the budget evicts resident rows only.
         cache.insert(NodeId(3), Arc::new(vec![3.0; 4]));
         cache.insert(NodeId(4), Arc::new(vec![4.0; 4]));
         assert_eq!(cache.stats().evictions, 1);

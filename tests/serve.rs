@@ -51,12 +51,10 @@ proptest! {
     ) {
         let (graph, repo) = workload(seed);
         let e = engine(&graph);
-        // Budget of one or two rows in a single shard: almost every insert
-        // evicts something.
+        // Budget of one or two rows: almost every insert evicts something.
         let row_bytes = graph.node_count() * std::mem::size_of::<f64>() + 64;
         let service = CepsServiceBuilder::new()
             .cache_bytes(budget_rows * row_bytes)
-            .shards(1)
             .build(e.clone());
         for r in 0..rounds as u64 {
             let queries = repo.sample(3.min(repo.all().len()), seed ^ (r << 16));
@@ -80,7 +78,6 @@ fn concurrent_serving_matches_serial_engine() {
     let e = engine(&graph);
     let service = CepsServiceBuilder::new()
         .cache_bytes(4 << 20)
-        .shards(4)
         .build(e.clone());
 
     let stream: Vec<Vec<NodeId>> = (0..24)
