@@ -108,6 +108,17 @@ pub const WINDOW_ROWS: usize = 256;
 /// accumulator chains side by side.
 const LANES: usize = 4;
 
+/// The restart term of Eq. 4 for a block of sources, applied by
+/// [`Transition::apply_block_restart`] as it writes each row.
+#[derive(Debug, Clone, Copy)]
+pub struct Restart<'s> {
+    /// The continuation probability `c`; each walk restarts with
+    /// probability `1 − c`.
+    pub c: f64,
+    /// The source node of each column of the block.
+    pub sources: &'s [NodeId],
+}
+
 /// A normalized adjacency operator in a row-interleaved layout.
 ///
 /// ```
@@ -263,8 +274,9 @@ impl Transition {
 
     /// Computes `out = M · x` (one sparse matrix–vector product).
     ///
-    /// The caller layers the restart term on top (`ceps-rwr` does
-    /// `x ← c · Mx + (1−c) e`).
+    /// This is the bare product. A power-iteration step of Eq. 4, restart
+    /// term included, is [`Transition::apply_block_restart`], which applies
+    /// the restart as it writes each row.
     ///
     /// For finite `x`, every `out[u]` is bitwise the plain CSR sum
     /// `Σ M[u, v] · x[v]` taken over [`Transition::row`] in ascending `v`
@@ -282,7 +294,7 @@ impl Transition {
             self.node_count(),
             "output vector length mismatch"
         );
-        self.apply_block_rows(x, out, 1, 0);
+        self.apply_block_rows(x, out, 1, 0, None);
     }
 
     /// Computes `out = M · X` for a dense block `X` of `cols` column
@@ -300,7 +312,7 @@ impl Transition {
     /// long.
     pub fn apply_block(&self, x: &[f64], out: &mut [f64], cols: usize) {
         self.check_block(x, out, cols);
-        self.apply_block_rows(x, out, cols, 0);
+        self.apply_block_rows(x, out, cols, 0, None);
     }
 
     fn check_block(&self, x: &[f64], out: &[f64], cols: usize) {
@@ -314,16 +326,26 @@ impl Transition {
     /// into `out` (whose length selects how many rows are computed; it
     /// ends on a window boundary or at `node_count`). Shared by
     /// [`Transition::apply`], [`Transition::apply_block`] and the row
-    /// chunks of [`Transition::par_apply_block`]. Widths up to 8 run as
-    /// one const-generic panel reading `x` as `[f64; K]` rows; wider
-    /// blocks sweep in 8-column panels.
-    fn apply_block_rows(&self, x: &[f64], out: &mut [f64], cols: usize, first_row: usize) {
+    /// chunks of [`Transition::par_apply_block`] and
+    /// [`Transition::apply_block_restart`]; `restart`, when given, is
+    /// applied as each row is written. Widths up to 8 run as one
+    /// const-generic panel reading `x` as `[f64; K]` rows; wider blocks
+    /// sweep in ⌈cols/8⌉ panels of near-equal width (10 as 5 + 5, 17 as
+    /// 6 + 6 + 5).
+    fn apply_block_rows(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        cols: usize,
+        first_row: usize,
+        restart: Option<Restart<'_>>,
+    ) {
         debug_assert_eq!(out.len() % cols, 0);
         debug_assert_eq!(first_row % WINDOW_ROWS, 0);
         macro_rules! whole {
             ($k:literal) => {{
                 let (rows, _) = x.as_chunks::<$k>();
-                self.panel::<$k>(|t| &rows[t], out, cols, first_row, 0)
+                self.panel::<$k>(|t| &rows[t], out, cols, first_row, 0, restart)
             }};
         }
         macro_rules! part {
@@ -334,7 +356,7 @@ impl Transition {
                         .try_into()
                         .expect("panel slice has K entries")
                 };
-                self.panel::<$k>(row, out, cols, first_row, fc)
+                self.panel::<$k>(row, out, cols, first_row, fc, restart)
             }};
         }
         match cols {
@@ -347,19 +369,21 @@ impl Transition {
             7 => whole!(7),
             8 => whole!(8),
             _ => {
+                // The first `cols % panels` panels are one column wider.
+                // With more than 8 columns every panel is 4 to 8 wide.
+                let panels = cols.div_ceil(8);
                 let mut first_col = 0;
-                while first_col < cols {
-                    match cols - first_col {
-                        1 => part!(1, first_col),
-                        2 => part!(2, first_col),
-                        3 => part!(3, first_col),
+                for p in 0..panels {
+                    let width = cols / panels + usize::from(p < cols % panels);
+                    match width {
                         4 => part!(4, first_col),
                         5 => part!(5, first_col),
                         6 => part!(6, first_col),
                         7 => part!(7, first_col),
-                        _ => part!(8, first_col),
+                        8 => part!(8, first_col),
+                        _ => unreachable!("panel width {width} outside 4..=8"),
                     }
-                    first_col += 8;
+                    first_col += width;
                 }
             }
         }
@@ -372,6 +396,10 @@ impl Transition {
     /// The four accumulators are separate locals, not one `[[f64; K]; 4]`
     /// indexed by lane: the array form made the compiler rotate and spill
     /// accumulators through the stack every step.
+    ///
+    /// Without `restart` each row's sums are stored as they are; with it,
+    /// column `j`'s entry of row `u` is stored as
+    /// `c·acc + (1 − c)·[u == sources[j]]`, the restart step of Eq. 4.
     fn panel<'x, const K: usize>(
         &self,
         xrow: impl Fn(usize) -> &'x [f64; K],
@@ -379,6 +407,7 @@ impl Transition {
         cols: usize,
         first_row: usize,
         first_col: usize,
+        restart: Option<Restart<'_>>,
     ) {
         #[inline(always)]
         fn madd<const K: usize>(acc: &mut [f64; K], c: f64, x: &[f64; K]) {
@@ -386,6 +415,12 @@ impl Transition {
                 *a += c * x;
             }
         }
+        let restart = restart.map(|r| {
+            let sources: &[NodeId; K] = r.sources[first_col..first_col + K]
+                .try_into()
+                .expect("panel sources have K entries");
+            (r.c, 1.0 - r.c, sources)
+        });
         let end_row = first_row + out.len() / cols;
         for group in first_row / LANES..end_row.div_ceil(LANES) {
             let (start, end) = (self.group_start[group], self.group_start[group + 1]);
@@ -402,7 +437,15 @@ impl Transition {
             let rows = &self.perm[first..(first + LANES).min(end_row)];
             for (&u, acc) in rows.iter().zip([&a0, &a1, &a2, &a3]) {
                 let at = (u as usize - first_row) * cols + first_col;
-                out[at..at + K].copy_from_slice(acc);
+                let dst = &mut out[at..at + K];
+                match restart {
+                    None => dst.copy_from_slice(acc),
+                    Some((c, fly, sources)) => {
+                        for ((o, &a), s) in dst.iter_mut().zip(acc).zip(sources) {
+                            *o = c * a + if s.0 == u { fly } else { 0.0 };
+                        }
+                    }
+                }
             }
         }
     }
@@ -483,10 +526,56 @@ impl Transition {
     /// or the job panics on a worker.
     pub fn par_apply_block(&self, x: &[f64], out: &mut [f64], cols: usize, pool: &WorkerPool) {
         self.check_block(x, out, cols);
-        let workers = pool.threads().min(self.node_count()).max(1);
-        if workers <= 1 || self.nnz().saturating_mul(cols) < pool.min_work() {
-            return self.apply_block_rows(x, out, cols, 0);
-        }
+        self.dispatch_block(x, out, cols, Some(pool), None);
+    }
+
+    /// One power-iteration step of Eq. 4 for a block of sources:
+    /// `out = c · M · X + (1 − c) · E`, where column `j` of `E` is the
+    /// indicator of `restart.sources[j]`. `X` and `out` are laid out as in
+    /// [`Transition::apply_block`].
+    ///
+    /// The restart is applied as each row of the product is written, by
+    /// the worker that computes the row, so every entry of `out` is written
+    /// once and no second pass over the block follows. Per entry it
+    /// evaluates `c · acc + (if u == source { 1 − c } else { 0 })` on the
+    /// bare product's sum `acc`, so the result is bitwise that of
+    /// [`Transition::apply_block`] followed by that expression per entry.
+    /// With `pool` the rows are split as in [`Transition::par_apply_block`]
+    /// (with the same sequential fallback); without it the calling thread
+    /// runs the whole sweep.
+    ///
+    /// # Panics
+    /// Panics if `cols == 0`, either slice is not `node_count * cols` long,
+    /// `restart.sources` is not `cols` long, or the job panics on a worker.
+    pub fn apply_block_restart(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        cols: usize,
+        restart: Restart<'_>,
+        pool: Option<&WorkerPool>,
+    ) {
+        self.check_block(x, out, cols);
+        assert_eq!(restart.sources.len(), cols, "one restart source per column");
+        self.dispatch_block(x, out, cols, pool, Some(restart));
+    }
+
+    /// Runs the block kernel on `pool`'s workers in nnz-balanced row
+    /// chunks, or on the calling thread when there is no pool, the pool
+    /// has one thread or the product is under its `min_work`.
+    fn dispatch_block(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        cols: usize,
+        pool: Option<&WorkerPool>,
+        restart: Option<Restart<'_>>,
+    ) {
+        let workers = pool.map_or(1, |p| p.threads().min(self.node_count()));
+        let pool = match pool {
+            Some(p) if workers > 1 && self.nnz().saturating_mul(cols) >= p.min_work() => p,
+            _ => return self.apply_block_rows(x, out, cols, 0, restart),
+        };
         let _span = ceps_obs::span("pool.apply");
         let bounds = self.balanced_row_chunks(workers * ceps_pool::CHUNKS_PER_WORKER);
         // Split `out` into per-chunk slices up front; each cell is locked
@@ -513,7 +602,7 @@ impl Transition {
                     .expect("chunk cell lock")
                     .take()
                     .expect("chunk claimed twice");
-                self.apply_block_rows(x, chunk, cols, first_row);
+                self.apply_block_rows(x, chunk, cols, first_row, restart);
                 claimed += 1;
             }
             if worker != 0 && claimed > 0 {

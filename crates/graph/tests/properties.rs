@@ -5,7 +5,7 @@ use std::io::Cursor;
 use ceps_graph::{
     algo::{connected_components, dijkstra, hop_distances},
     io::{read_edge_list, write_edge_list},
-    normalize::{Normalization, Transition, WINDOW_ROWS},
+    normalize::{Normalization, Restart, Transition, WINDOW_ROWS},
     GraphBuilder, NodeId, Subgraph,
 };
 use proptest::prelude::*;
@@ -355,6 +355,63 @@ proptest! {
             for u in 0..n {
                 prop_assert_eq!(col_out[u].to_bits(), want[u * cols + j], "apply col {} node {}", j, u);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused restart step equals the bare product followed by the
+    /// restart loop the solver once ran over the block, bit for bit:
+    /// `apply_block`, then `c·acc + (1 − c)·[u == source]` per entry. Widths
+    /// 1..=12 cross the split into balanced panels (9 as 5 + 4, 12 as
+    /// 6 + 6); the kernel runs on the calling thread and on pools of 1, 2
+    /// and 3 threads. Every fourth column repeats the source three columns
+    /// back, and every third column restarts at an isolated node.
+    #[test]
+    fn fused_restart_matches_product_then_restart_bitwise(
+        (n, edges, hubs) in arb_windowed_graph(),
+        alpha in 0.0f64..1.5,
+        c in 0.05f64..0.95,
+        cols in 1usize..=12,
+        picks in proptest::collection::vec(0usize..2000, 12),
+        seed in 0u64..u64::MAX,
+    ) {
+        let g = build_windowed(n, &edges, &hubs);
+        let t = Transition::new(&g, Normalization::DegreePenalized { alpha });
+        let mut sources: Vec<NodeId> = Vec::with_capacity(cols);
+        for (j, &p) in picks[..cols].iter().enumerate() {
+            // Nodes `≡ 5 (mod 61)` are isolated (see `build_windowed`).
+            let u = match j % 4 {
+                3 => sources[j - 3].index(),
+                2 => (p % (n / 61)) * 61 + 5,
+                _ => p % n,
+            };
+            sources.push(NodeId(u as u32));
+        }
+        let x = test_block(n * cols, seed);
+        let mut want = vec![0f64; n * cols];
+        t.apply_block(&x, &mut want, cols);
+        for (u, row) in want.chunks_exact_mut(cols).enumerate() {
+            for (v, s) in row.iter_mut().zip(&sources) {
+                *v = c * *v + if s.index() == u { 1.0 - c } else { 0.0 };
+            }
+        }
+        let want = bits(&want);
+        let restart = Restart { c, sources: &sources };
+
+        let mut out = vec![f64::NAN; n * cols];
+        t.apply_block_restart(&x, &mut out, cols, restart, None);
+        prop_assert!(bits(&out) == want, "sequential fused step diverged at width {}", cols);
+        for threads in 1..=3 {
+            let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
+            let mut out = vec![f64::NAN; n * cols];
+            t.apply_block_restart(&x, &mut out, cols, restart, Some(&pool));
+            prop_assert!(
+                bits(&out) == want,
+                "pooled fused step diverged at width {} on {} threads", cols, threads
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ceps_graph::{NodeId, Transition};
+use ceps_graph::{normalize::Restart, NodeId, Transition};
 use ceps_pool::PoolHandle;
 
 use crate::{scratch::ScratchPool, Result, RwrError, ScoreMatrix};
@@ -204,10 +204,18 @@ impl<'t> RwrEngine<'t> {
     /// drawn from the shared [`ScratchPool`], so each sparse entry of `M`
     /// is loaded once per iteration and reused across all active columns —
     /// instead of `Q` separate passes over the CSR arrays as in repeated
-    /// [`RwrEngine::solve_single`] calls. When the per-iteration product
-    /// (`nnz × A` fused ops) clears the pool threshold, it row-chunks
-    /// across the persistent worker pool
-    /// ([`Transition::par_apply_block`]); otherwise it runs sequentially.
+    /// [`RwrEngine::solve_single`] calls. Each iteration is one sweep,
+    /// [`Transition::apply_block_restart`], which applies the restart term
+    /// as it writes each row. When the product (`nnz × A` fused ops) clears
+    /// the pool threshold, that sweep row-chunks across the persistent
+    /// worker pool; otherwise it runs sequentially.
+    ///
+    /// The per-column L1 delta between successive iterates takes a second,
+    /// read-only pass over the block, made only where the delta is read: on
+    /// every iteration when a `tolerance` is set (it decides freezing), and
+    /// otherwise on the last iteration alone (for
+    /// [`SolveStats::final_delta`]). Each pass adds one to the
+    /// `rwr.delta_passes` counter.
     ///
     /// Per column the arithmetic order matches `solve_single` exactly, so
     /// each returned row and its [`SolveStats`] are bitwise-identical to
@@ -232,8 +240,8 @@ impl<'t> RwrEngine<'t> {
         let n = self.transition.node_count();
         let q_count = queries.len();
         let c = self.config.c;
-        let restart = 1.0 - c;
         let nnz = self.transition.nnz();
+        let last = self.config.max_iterations.saturating_sub(1);
 
         // The row-major Q x N output; frozen columns transpose into it the
         // iteration they converge, the rest on exit.
@@ -255,50 +263,48 @@ impl<'t> RwrEngine<'t> {
         let mut act: Vec<usize> = (0..q_count).collect();
         let mut deltas = vec![0f64; q_count];
         // sources[jj] = query node of the jj-th active column.
-        let mut sources: Vec<usize> = Vec::with_capacity(q_count);
+        let mut sources: Vec<NodeId> = Vec::with_capacity(q_count);
         let mut newly: Vec<usize> = Vec::new();
+        let mut delta_passes = 0u64;
 
         for it in 0..self.config.max_iterations {
             let a = act.len();
             if a == 0 {
                 break;
             }
-            match self.pool.acquire(nnz.saturating_mul(a)) {
-                Some(pool) => {
-                    self.transition
-                        .par_apply_block(&x[..n * a], &mut next[..n * a], a, pool);
-                }
-                None => self
-                    .transition
-                    .apply_block(&x[..n * a], &mut next[..n * a], a),
-            }
-            // Restart pass: per column, ascending-node L1 delta (the same
+            sources.clear();
+            sources.extend(act.iter().map(|&orig| queries[orig]));
+            let restart = Restart {
+                c,
+                sources: &sources,
+            };
+            let pool = self.pool.acquire(nnz.saturating_mul(a)).map(Arc::as_ref);
+            self.transition
+                .apply_block_restart(&x[..n * a], &mut next[..n * a], a, restart, pool);
+            // Residual pass: per column, ascending-node L1 delta (the same
             // summation order as `solve_single`, so `final_delta` and the
             // tolerance freeze stay bit-identical).
-            sources.clear();
-            sources.extend(act.iter().map(|&orig| queries[orig].index()));
+            let measured = self.config.tolerance.is_some() || it == last;
             let deltas = &mut deltas[..a];
-            deltas.fill(0.0);
-            for (u, (xrow, nrow)) in x[..n * a]
-                .chunks_exact(a)
-                .zip(next[..n * a].chunks_exact_mut(a))
-                .enumerate()
-            {
-                for (((nv, xv), d), &src) in
-                    nrow.iter_mut().zip(xrow).zip(&mut *deltas).zip(&sources)
+            if measured {
+                delta_passes += 1;
+                deltas.fill(0.0);
+                for (xrow, nrow) in x[..n * a]
+                    .chunks_exact(a)
+                    .zip(next[..n * a].chunks_exact(a))
                 {
-                    let v = c * *nv + if src == u { restart } else { 0.0 };
-                    *d += (v - xv).abs();
-                    *nv = v;
+                    for ((d, nv), xv) in deltas.iter_mut().zip(nrow).zip(xrow) {
+                        *d += (nv - xv).abs();
+                    }
                 }
             }
             std::mem::swap(&mut x, &mut next);
             newly.clear();
             for (jj, &orig) in act.iter().enumerate() {
                 stats[orig].iterations = it + 1;
-                stats[orig].final_delta = deltas[jj];
-                if let Some(tol) = self.config.tolerance {
-                    if deltas[jj] < tol {
+                if measured {
+                    stats[orig].final_delta = deltas[jj];
+                    if self.config.tolerance.is_some_and(|tol| deltas[jj] < tol) {
                         newly.push(jj);
                     }
                 }
@@ -322,6 +328,7 @@ impl<'t> RwrEngine<'t> {
         if ceps_obs::enabled() {
             ceps_obs::counter("rwr.solves", 1);
             ceps_obs::counter("rwr.columns", q_count as u64);
+            ceps_obs::counter("rwr.delta_passes", delta_passes);
             let early = q_count - act.len();
             ceps_obs::counter("rwr.frozen_columns", early as u64);
             for s in &stats {

@@ -1,11 +1,14 @@
 //! Property-based tests for the RWR engine and score combinators.
 
+use std::sync::Arc;
+
 use ceps_graph::{normalize::Normalization, GraphBuilder, NodeId, Transition};
+use ceps_pool::PoolHandle;
 use ceps_rwr::{
     combine::{and, at_least_k, at_least_k_bruteforce, combine_rows, combine_scores, or},
     exact::solve_exact,
     push::forward_push,
-    RwrConfig, RwrEngine,
+    RwrConfig, RwrEngine, ScratchPool,
 };
 use proptest::prelude::*;
 
@@ -23,6 +26,33 @@ fn arb_connected_graph() -> impl Strategy<Value = ceps_graph::CsrGraph> {
             }
             for (a, c, w) in chords {
                 if a != c {
+                    b.add_edge(NodeId(a as u32), NodeId(c as u32), w).unwrap();
+                }
+            }
+            b.build().unwrap()
+        })
+    })
+}
+
+/// Strategy: a random graph of 300..=900 nodes, so its rows span several
+/// 256-row windows and a pool splits the product into more than one chunk.
+/// A path runs through every node not `≡ 5 (mod 61)`, with random chords
+/// among them; the nodes `≡ 5 (mod 61)` stay isolated. An isolated
+/// source's column settles after two iterations while connected ones take
+/// many, so a tolerance freezes columns at staggered iterations.
+fn arb_windowed_graph() -> impl Strategy<Value = ceps_graph::CsrGraph> {
+    (300usize..=900).prop_flat_map(|n| {
+        let chords = proptest::collection::vec((0..n, 0..n, 0.1f64..10.0), 0..2 * n);
+        (Just(n), chords).prop_map(|(n, chords)| {
+            let isolated = |v: usize| v % 61 == 5;
+            let linked: Vec<usize> = (0..n).filter(|&v| !isolated(v)).collect();
+            let mut b = GraphBuilder::with_nodes(n);
+            for pair in linked.windows(2) {
+                b.add_edge(NodeId(pair[0] as u32), NodeId(pair[1] as u32), 1.0)
+                    .unwrap();
+            }
+            for (a, c, w) in chords {
+                if a != c && !isolated(a) && !isolated(c) {
                     b.add_edge(NodeId(a as u32), NodeId(c as u32), w).unwrap();
                 }
             }
@@ -242,5 +272,56 @@ proptest! {
         // Mass conservation: settled + residual = 1 on connected graphs.
         let settled: f64 = push.scores.iter().sum();
         prop_assert!((settled + push.residual_mass - 1.0).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The pooled block solve reproduces per-source `solve_single` bit for
+    /// bit, rows and `SolveStats` alike, on pools of 1, 2 and 3 threads
+    /// forced parallel (`min_work` 0), with and without a tolerance. One
+    /// query is always the isolated node 5, whose column freezes at
+    /// iteration 2 under any tolerance while the others keep iterating.
+    #[test]
+    fn pooled_solve_block_matches_solve_single_bitwise(
+        g in arb_windowed_graph(),
+        c in 0.1f64..0.9,
+        tol_pick in 0u32..8,
+        picks in proptest::collection::vec(0usize..900, 1..6),
+    ) {
+        let n = g.node_count();
+        let t = Transition::new(&g, Normalization::DegreePenalized { alpha: 0.5 });
+        let mut queries: Vec<NodeId> = picks.iter().map(|&p| NodeId((p % n) as u32)).collect();
+        queries.push(NodeId(5));
+        // tol_pick 0 runs the fixed iteration count, as by default.
+        let tolerance = (tol_pick > 0).then(|| 10f64.powi(-(tol_pick as i32 + 3)));
+        let cfg = RwrConfig {
+            c,
+            max_iterations: if tolerance.is_some() { 300 } else { 40 },
+            tolerance,
+            threads: 1,
+        };
+        let reference = RwrEngine::new(&t, cfg).unwrap();
+        let singles: Vec<(Vec<f64>, _)> =
+            queries.iter().map(|&q| reference.solve_single(q).unwrap()).collect();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        for threads in 1..=3 {
+            let engine = RwrEngine::with_pool(
+                &t,
+                RwrConfig { threads, ..cfg },
+                PoolHandle::with_min_work(threads, 0),
+                Arc::new(ScratchPool::new()),
+            )
+            .unwrap();
+            let (matrix, stats) = engine.solve_block(&queries).unwrap();
+            for (i, (row, single)) in singles.iter().enumerate() {
+                prop_assert_eq!(stats[i], *single, "query {} on {} threads", i, threads);
+                prop_assert!(
+                    bits(matrix.row(i)) == bits(row),
+                    "query {} row diverged on {} threads", i, threads
+                );
+            }
+        }
     }
 }

@@ -152,3 +152,39 @@ fn disabled_recorder_produces_an_empty_snapshot() {
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
 }
+
+/// The L1 residual pass of a block solve runs only where its result is
+/// read: once per solve at the default fixed iteration count (for the
+/// final delta), and on every iteration when a tolerance decides freezing.
+#[test]
+fn residual_passes_run_only_where_the_delta_is_read() {
+    use ceps_graph::{normalize::Normalization, Transition};
+    use ceps_rwr::{RwrConfig, RwrEngine};
+
+    let _guard = obs_lock();
+    let (data, repo) = workload();
+    let queries = repo.sample(3, 7);
+    let t = Transition::new(&data.graph, Normalization::ColumnStochastic);
+    let passes = |cfg: RwrConfig| {
+        ceps_obs::install_recorder();
+        ceps_obs::reset();
+        let (_, stats) = RwrEngine::new(&t, cfg)
+            .unwrap()
+            .solve_block(&queries)
+            .unwrap();
+        let snap = ceps_obs::snapshot();
+        ceps_obs::uninstall_recorder();
+        let iterations = stats.iter().map(|s| s.iterations).max().unwrap();
+        (snap.counter("rwr.delta_passes").unwrap_or(0), iterations)
+    };
+    assert_eq!(passes(RwrConfig::default()), (1, 50));
+    let tolerant = RwrConfig {
+        tolerance: Some(1e-6),
+        ..RwrConfig::default()
+    };
+    let (count, iterations) = passes(tolerant);
+    assert_eq!(
+        count, iterations as u64,
+        "one pass per iteration under a tolerance"
+    );
+}
