@@ -326,12 +326,10 @@ impl Transition {
     /// into `out` (whose length selects how many rows are computed; it
     /// ends on a window boundary or at `node_count`). Shared by
     /// [`Transition::apply`], [`Transition::apply_block`] and the row
-    /// chunks of [`Transition::par_apply_block`] and
-    /// [`Transition::apply_block_restart`]; `restart`, when given, is
-    /// applied as each row is written. Widths up to 8 run as one
+    /// chunks of [`Transition::apply_block_restart`]; `restart`, when
+    /// given, is applied as each row is written. Widths up to 8 run as one
     /// const-generic panel reading `x` as `[f64; K]` rows; wider blocks
-    /// sweep in ⌈cols/8⌉ panels of near-equal width (10 as 5 + 5, 17 as
-    /// 6 + 6 + 5).
+    /// sweep in 8-column panels.
     fn apply_block_rows(
         &self,
         x: &[f64],
@@ -369,21 +367,19 @@ impl Transition {
             7 => whole!(7),
             8 => whole!(8),
             _ => {
-                // The first `cols % panels` panels are one column wider.
-                // With more than 8 columns every panel is 4 to 8 wide.
-                let panels = cols.div_ceil(8);
                 let mut first_col = 0;
-                for p in 0..panels {
-                    let width = cols / panels + usize::from(p < cols % panels);
-                    match width {
+                while first_col < cols {
+                    match cols - first_col {
+                        1 => part!(1, first_col),
+                        2 => part!(2, first_col),
+                        3 => part!(3, first_col),
                         4 => part!(4, first_col),
                         5 => part!(5, first_col),
                         6 => part!(6, first_col),
                         7 => part!(7, first_col),
-                        8 => part!(8, first_col),
-                        _ => unreachable!("panel width {width} outside 4..=8"),
+                        _ => part!(8, first_col),
                     }
-                    first_col += width;
+                    first_col += 8;
                 }
             }
         }
@@ -500,49 +496,36 @@ impl Transition {
         chunks
     }
 
-    /// Parallel [`Transition::apply_block`] over a persistent
-    /// [`WorkerPool`]: one dispatch (wake → steal → sleep) per call, no
-    /// thread spawns. The rows are pre-split into nnz-balanced,
-    /// window-aligned chunks ([`Transition::balanced_row_chunks`], ~4 per
-    /// worker) and claimed off an atomic cursor, so a straggling worker
-    /// sheds load to the others.
-    ///
-    /// Falls back to the sequential kernel when the pool is
-    /// single-threaded or the estimated work (`nnz × cols`) is under the
-    /// pool's [`WorkerPool::min_work`] threshold — below it the barrier
-    /// costs more than the parallelism recovers.
-    ///
-    /// **Bitwise-identical to [`Transition::apply_block`]**: each row is
-    /// computed by exactly one worker with the same per-row arithmetic
-    /// order, so neither the chunking nor the
-    /// claiming order can change a single bit of the output.
-    ///
-    /// Telemetry (when a `ceps-obs` recorder is installed): a `pool.apply`
-    /// span around the dispatch and a `pool.chunks_stolen` counter for
-    /// chunks claimed by non-calling workers.
-    ///
-    /// # Panics
-    /// Panics if `cols == 0`, either slice is not `node_count * cols` long,
-    /// or the job panics on a worker.
-    pub fn par_apply_block(&self, x: &[f64], out: &mut [f64], cols: usize, pool: &WorkerPool) {
-        self.check_block(x, out, cols);
-        self.dispatch_block(x, out, cols, Some(pool), None);
-    }
-
-    /// One power-iteration step of Eq. 4 for a block of sources:
-    /// `out = c · M · X + (1 − c) · E`, where column `j` of `E` is the
-    /// indicator of `restart.sources[j]`. `X` and `out` are laid out as in
-    /// [`Transition::apply_block`].
+    /// `out = M · X`, or with `restart` one power-iteration step of Eq. 4
+    /// for a block of sources, `out = c · M · X + (1 − c) · E`, where
+    /// column `j` of `E` is the indicator of `restart.sources[j]`. `X` and
+    /// `out` are laid out as in [`Transition::apply_block`].
     ///
     /// The restart is applied as each row of the product is written, by
-    /// the worker that computes the row, so every entry of `out` is written
+    /// the thread that computes the row, so every entry of `out` is written
     /// once and no second pass over the block follows. Per entry it
     /// evaluates `c · acc + (if u == source { 1 − c } else { 0 })` on the
     /// bare product's sum `acc`, so the result is bitwise that of
     /// [`Transition::apply_block`] followed by that expression per entry.
-    /// With `pool` the rows are split as in [`Transition::par_apply_block`]
-    /// (with the same sequential fallback); without it the calling thread
-    /// runs the whole sweep.
+    ///
+    /// With `pool`, the product runs on a persistent [`WorkerPool`]: one
+    /// dispatch (wake → steal → sleep) per call, no thread spawns. The rows
+    /// are pre-split into nnz-balanced, window-aligned chunks
+    /// ([`Transition::balanced_row_chunks`], ~4 per worker) and claimed off
+    /// an atomic cursor, so a straggling worker sheds load to the others.
+    /// The calling thread runs the whole sweep when there is no pool, the
+    /// pool is single-threaded or the estimated work (`nnz × cols`) is under
+    /// the pool's [`WorkerPool::min_work`] threshold — below it the barrier
+    /// costs more than the parallelism recovers.
+    ///
+    /// **Pooled and sequential runs are bitwise identical**: each row is
+    /// computed by exactly one worker with the same per-row arithmetic
+    /// order, so neither the chunking nor the claiming order can change a
+    /// single bit of the output.
+    ///
+    /// Telemetry (when a `ceps-obs` recorder is installed): a `pool.apply`
+    /// span around a pooled dispatch and a `pool.chunks_stolen` counter for
+    /// chunks claimed by non-calling workers.
     ///
     /// # Panics
     /// Panics if `cols == 0`, either slice is not `node_count * cols` long,
@@ -552,25 +535,13 @@ impl Transition {
         x: &[f64],
         out: &mut [f64],
         cols: usize,
-        restart: Restart<'_>,
+        restart: Option<Restart<'_>>,
         pool: Option<&WorkerPool>,
     ) {
         self.check_block(x, out, cols);
-        assert_eq!(restart.sources.len(), cols, "one restart source per column");
-        self.dispatch_block(x, out, cols, pool, Some(restart));
-    }
-
-    /// Runs the block kernel on `pool`'s workers in nnz-balanced row
-    /// chunks, or on the calling thread when there is no pool, the pool
-    /// has one thread or the product is under its `min_work`.
-    fn dispatch_block(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        cols: usize,
-        pool: Option<&WorkerPool>,
-        restart: Option<Restart<'_>>,
-    ) {
+        if let Some(r) = restart {
+            assert_eq!(r.sources.len(), cols, "one restart source per column");
+        }
         let workers = pool.map_or(1, |p| p.threads().min(self.node_count()));
         let pool = match pool {
             Some(p) if workers > 1 && self.nnz().saturating_mul(cols) >= p.min_work() => p,

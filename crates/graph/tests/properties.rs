@@ -195,10 +195,11 @@ proptest! {
         }
     }
 
-    /// Pooled row-chunking never changes the output: `par_apply_block`
-    /// over a persistent worker pool equals `apply_block` bitwise across
-    /// thread counts {1, 2, 3, 8} and widths {1, 2, 5} (each row is
-    /// computed by exactly one worker, same inner loop). The pool's `min_work` is forced to 0 so tiny random graphs
+    /// Pooled row-chunking never changes the output: `apply_block_restart`
+    /// without a restart, over a persistent worker pool, equals
+    /// `apply_block` bitwise across thread counts {1, 2, 3, 8} and widths
+    /// {1, 2, 5} (each row is computed by exactly one worker, same inner
+    /// loop). The pool's `min_work` is forced to 0 so tiny random graphs
     /// still exercise the parallel path, and the pool is reused across both
     /// calls like the solver reuses it across iterations.
     #[test]
@@ -217,7 +218,7 @@ proptest! {
         let mut seq = vec![0f64; n * cols];
         let mut par = vec![0f64; n * cols];
         t.apply_block(&x, &mut seq, cols);
-        t.par_apply_block(&x, &mut par, cols, &pool);
+        t.apply_block_restart(&x, &mut par, cols, None, Some(&pool));
         prop_assert_eq!(&seq, &par);
     }
 
@@ -319,8 +320,8 @@ proptest! {
 
     /// The row-interleaved kernels equal a naive CSR sweep over
     /// `Transition::row` bit for bit: `apply` per column, `apply_block`
-    /// at widths 1..=10 (10 crosses the 8-column panel split) and
-    /// `par_apply_block` on 1, 2 and 3 threads, on graphs of several
+    /// at widths 1..=10 (10 crosses the 8-column panel split) and pooled
+    /// `apply_block_restart` without a restart on 1, 2 and 3 threads, on graphs of several
     /// windows with hub rows (wide, heavily padded groups), isolated rows
     /// (all-padding lanes) and a final partial group.
     #[test]
@@ -342,8 +343,8 @@ proptest! {
 
         let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
         let mut out = vec![f64::NAN; n * cols];
-        t.par_apply_block(&x, &mut out, cols, &pool);
-        prop_assert!(bits(&out) == want, "par_apply_block diverged on {} threads", threads);
+        t.apply_block_restart(&x, &mut out, cols, None, Some(&pool));
+        prop_assert!(bits(&out) == want, "pooled product diverged on {} threads", threads);
 
         let mut col = vec![0f64; n];
         let mut col_out = vec![f64::NAN; n];
@@ -365,8 +366,8 @@ proptest! {
     /// The fused restart step equals the bare product followed by the
     /// restart loop the solver once ran over the block, bit for bit:
     /// `apply_block`, then `c·acc + (1 − c)·[u == source]` per entry. Widths
-    /// 1..=12 cross the split into balanced panels (9 as 5 + 4, 12 as
-    /// 6 + 6); the kernel runs on the calling thread and on pools of 1, 2
+    /// 1..=12 cross the split into 8-column panels (9 as 8 + 1, 12 as
+    /// 8 + 4); the kernel runs on the calling thread and on pools of 1, 2
     /// and 3 threads. Every fourth column repeats the source three columns
     /// back, and every third column restarts at an isolated node.
     #[test]
@@ -402,12 +403,12 @@ proptest! {
         let restart = Restart { c, sources: &sources };
 
         let mut out = vec![f64::NAN; n * cols];
-        t.apply_block_restart(&x, &mut out, cols, restart, None);
+        t.apply_block_restart(&x, &mut out, cols, Some(restart), None);
         prop_assert!(bits(&out) == want, "sequential fused step diverged at width {}", cols);
         for threads in 1..=3 {
             let pool = ceps_pool::WorkerPool::with_min_work(threads, 0);
             let mut out = vec![f64::NAN; n * cols];
-            t.apply_block_restart(&x, &mut out, cols, restart, Some(&pool));
+            t.apply_block_restart(&x, &mut out, cols, Some(restart), Some(&pool));
             prop_assert!(
                 bits(&out) == want,
                 "pooled fused step diverged at width {} on {} threads", cols, threads

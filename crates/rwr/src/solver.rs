@@ -274,10 +274,10 @@ impl<'t> RwrEngine<'t> {
             }
             sources.clear();
             sources.extend(act.iter().map(|&orig| queries[orig]));
-            let restart = Restart {
+            let restart = Some(Restart {
                 c,
                 sources: &sources,
-            };
+            });
             let pool = self.pool.acquire(nnz.saturating_mul(a)).map(Arc::as_ref);
             self.transition
                 .apply_block_restart(&x[..n * a], &mut next[..n * a], a, restart, pool);
